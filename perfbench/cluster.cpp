@@ -18,6 +18,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "wal/wal_io.h"
+
 namespace perfbench {
 namespace {
 
@@ -62,6 +64,35 @@ smr::SmrSpec node_spec() {
   return spec;
 }
 
+/// WAL storage with the semantics of tmpfs: every write(2) reaches the
+/// file (and the page cache, which a SIGKILL keeps), the fdatasync
+/// barrier returns at once.
+class NoSyncWalIo final : public wal::WalIo {
+ public:
+  bool mkdirs(const std::string& dir) override { return io_.mkdirs(dir); }
+  std::vector<std::string> list(const std::string& dir) override {
+    return io_.list(dir);
+  }
+  bool read_file(const std::string& path,
+                 std::vector<std::uint8_t>& out) override {
+    return io_.read_file(path, out);
+  }
+  int open_append(const std::string& path) override {
+    return io_.open_append(path);
+  }
+  std::int64_t write(int handle, const void* data, std::size_t n) override {
+    return io_.write(handle, data, n);
+  }
+  int sync(int) override { return 0; }
+  void close(int handle) override { io_.close(handle); }
+  bool truncate(const std::string& path, std::uint64_t size) override {
+    return io_.truncate(path, size);
+  }
+
+ private:
+  wal::PosixWalIo io_;
+};
+
 [[noreturn]] void run_node(const smr::NodeTopology& base, std::uint32_t self,
                            const std::string& wal_dir,
                            const std::string& log_path) {
@@ -90,8 +121,10 @@ smr::SmrSpec node_spec() {
     scfg.worker_nice = 10;
     net::NetConfig ncfg;
     ncfg.node_id = self;
+    NoSyncWalIo no_sync;
     wal::WalOptions wopts;
     wopts.dir = wal_dir;
+    wopts.io = &no_sync;
     smr::SmrNode node(topo, scfg, ncfg, wopts);
     node.add_log(kGid, node_spec());
     node.start();
@@ -127,6 +160,34 @@ void pin_to_cores(bool generator) {
     for (long c = 1; c < n; ++c) CPU_SET(static_cast<int>(c), &set);
   }
   ::sched_setaffinity(0, sizeof set, &set);
+}
+
+KeepAwake::KeepAwake() {
+  const long n = ::sysconf(_SC_NPROCESSORS_ONLN);
+  for (long c = 0; c < n; ++c) {
+    const pid_t pid = ::fork();
+    if (pid < 0) throw std::runtime_error("fork failed");
+    if (pid > 0) {
+      pids_.push_back(pid);
+      continue;
+    }
+    ::close_range(0, ~0U, 0);
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(static_cast<int>(c), &set);
+    ::sched_setaffinity(0, sizeof set, &set);
+    const sched_param idle{};
+    ::sched_setscheduler(0, SCHED_IDLE, &idle);
+    static volatile bool spin = true;
+    while (spin) {
+    }
+  }
+}
+
+KeepAwake::~KeepAwake() {
+  for (const pid_t pid : pids_) ::kill(pid, SIGKILL);
+  for (const pid_t pid : pids_) ::waitpid(pid, nullptr, 0);
 }
 
 ProcUsage proc_usage(pid_t pid) {

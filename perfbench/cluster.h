@@ -2,6 +2,11 @@
 // durable (per-node WAL, quorum-acknowledged appends) with leader leases
 // on. The load generator forks the nodes before it starts any thread;
 // a killed node restarts in place over its own WAL directory.
+//
+// The WAL writes real files, but its fdatasync barrier is a no-op, as on
+// tmpfs: a virtual disk's fsync latency follows its own recent write
+// history (0.3 ms to 12 ms at p99 on the reference box) and would set
+// every append timing.
 #pragma once
 
 #include <sys/types.h>
@@ -74,5 +79,25 @@ void pin_to_cores(bool generator);
 
 /// Threads of the calling process (from /proc/self/status).
 int self_threads();
+
+/// While it lives, every core runs a spinner process of scheduling class
+/// SCHED_IDLE, so no core ever halts for want of work; any other thread
+/// that becomes runnable preempts the spinner at once. In a virtual
+/// machine a halted core wakes only through the hypervisor, whose wake-up
+/// latency follows its own adaptive polling and the host's load: without
+/// the spinners append_lowload read 2.5 times faster right after a build
+/// than a few minutes later, and drifted by 10% between runs. The
+/// spinners are not the generator's: its thread and CPU checks count the
+/// generator process only. Construct before any thread starts.
+class KeepAwake {
+ public:
+  KeepAwake();
+  ~KeepAwake();
+  KeepAwake(const KeepAwake&) = delete;
+  KeepAwake& operator=(const KeepAwake&) = delete;
+
+ private:
+  std::vector<pid_t> pids_;
+};
 
 }  // namespace perfbench

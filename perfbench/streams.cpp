@@ -7,6 +7,7 @@
 #include <climits>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 namespace perfbench {
 namespace {
@@ -23,10 +24,6 @@ std::uint64_t splitmix(std::uint64_t& s) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
-}
-
-double uniform01(std::uint64_t& s) {
-  return static_cast<double>(splitmix(s) >> 11) * 0x1.0p-53;
 }
 
 /// Times `f` into `t` when spans are on.
@@ -133,16 +130,7 @@ AppendStream::AppendStream(std::vector<Link*> links, std::uint64_t client_base,
       spans_(spans) {}
 
 void AppendStream::connect(std::uint32_t node, std::uint16_t port) {
-  // Requests in flight at a live node are answered (often kNotLeader,
-  // which makes them safe to resubmit): collect those answers first.
-  const std::int64_t deadline = now_ns() + 500'000'000;
-  while (in_flight() > 0 && connected() && now_ns() < deadline) {
-    std::vector<pollfd> fds;
-    add_pollfds(fds);
-    ::poll(fds.data(), fds.size(), 5);
-    harvest(now_ns(), fds);
-  }
-  disconnect();
+  close_settled();
   for (Link* l : links_) l->open(node, port);
   lost_leader_ = false;
   hint_ = omega::kNoProcess;
@@ -158,6 +146,19 @@ void AppendStream::resubmit() {
     return a.client != b.client ? a.client < b.client : a.seq < b.seq;
   });
   for (Request& r : again) submit(r.client - client_base_, r);
+}
+
+void AppendStream::close_settled() {
+  // Requests in flight at a live node are answered (often kNotLeader,
+  // which makes them safe to resubmit): collect those answers first.
+  const std::int64_t deadline = now_ns() + 500'000'000;
+  while (in_flight() > 0 && connected() && now_ns() < deadline) {
+    std::vector<pollfd> fds;
+    add_pollfds(fds);
+    ::poll(fds.data(), fds.size(), 5);
+    harvest(now_ns(), fds);
+  }
+  disconnect();
 }
 
 void AppendStream::disconnect() {
@@ -277,6 +278,7 @@ void AppendStream::harvest(std::int64_t now,
           ++duplicates_;
           continue;
         }
+        ++spans_.ops;
         const double lat_ns = static_cast<double>(now - req.due_ns);
         if (sink.latency_ms != nullptr) sink.latency_ms->push_back(lat_ns / 1e6);
         if (trace_latency != nullptr && req.trace != 0) {
@@ -313,9 +315,15 @@ ReadStream::ReadStream(std::vector<Link*> links, std::uint64_t seed,
       spans_(spans) {}
 
 void ReadStream::set_rate(double per_s, std::int64_t start_ns) {
-  rate_ = per_s;
-  start_ns_ = start_ns;
-  issued_ = 0;
+  plain_ = Schedule{per_s, start_ns, 0};
+}
+
+void ReadStream::set_fence_rate(double per_s, std::int64_t start_ns) {
+  fenced_ = Schedule{per_s, start_ns, 0};
+}
+
+std::int64_t ReadStream::Schedule::next_due() const {
+  return rate > 0 ? due_at(start_ns, rate, issued) : INT64_MAX;
 }
 
 void ReadStream::connect(std::size_t i, std::uint32_t node,
@@ -335,15 +343,13 @@ void ReadStream::disconnect(std::size_t i) {
 void ReadStream::fail_link(std::size_t i) { disconnect(i); }
 
 std::int64_t ReadStream::next_due() const {
-  if (rate_ <= 0) return INT64_MAX;
-  return due_at(start_ns_, rate_, issued_);
+  return std::min(plain_.next_due(), fenced_.next_due());
 }
 
-ReadStream::Request ReadStream::make(std::int64_t due) {
+ReadStream::Request ReadStream::make(std::int64_t due, bool fenced) {
   Request r;
   r.due_ns = due;
-  if (fence_share_ > 0 && book_.last.cmd != 0 &&
-      uniform01(rng_) < fence_share_) {
+  if (fenced && book_.last.cmd != 0) {
     // Read-your-writes: the newest acknowledged append must be visible.
     r.key = book_.last.cmd;
     r.min_index = book_.last.index + 1;
@@ -363,6 +369,9 @@ void ReadStream::submit(std::size_t i, Request req) {
     const std::uint64_t id = timed(spans_.on, spans_.send, [&] {
       return c.read_async(kGid, req.key, req.min_index);
     });
+    if (late_us != nullptr && req.min_index == 0) {
+      late_us->push_back(static_cast<double>(now_ns() - req.due_ns) / 1e3);
+    }
     pending_[i].emplace(id, req);
   } catch (const NetError&) {
     wait_.push_back(req);
@@ -375,30 +384,25 @@ void ReadStream::pump(std::int64_t now) {
   for (std::size_t i = 0; i < links_.size(); ++i) {
     if (links_[i]->is_open()) open.push_back(i);
   }
-  if (open.empty()) {
-    for (std::int64_t due = next_due(); due <= now; due = next_due()) {
-      ++issued_;
-      wait_.push_back(make(due));
+  // Due open-loop reads go round-robin over the open links, or wait.
+  auto issue_due = [&](Schedule& sched, bool fenced) {
+    for (std::int64_t due = sched.next_due(); due <= now;
+         due = sched.next_due()) {
+      ++sched.issued;
+      if (open.empty()) {
+        wait_.push_back(make(due, fenced));
+      } else {
+        submit(open[rr_++ % open.size()], make(due, fenced));
+      }
     }
-    return;
-  }
-  if (!wait_.empty() && now >= retry_at_) {
+  };
+  if (!open.empty() && !wait_.empty() && now >= retry_at_) {
     std::vector<Request> again;
     again.swap(wait_);
     for (Request& r : again) submit(open[rr_++ % open.size()], r);
   }
-  if (depth_ > 0) {
-    for (const std::size_t i : open) {
-      while (links_[i]->is_open() && pending_[i].size() < depth_) {
-        submit(i, make(now));
-      }
-    }
-    return;
-  }
-  for (std::int64_t due = next_due(); due <= now; due = next_due()) {
-    ++issued_;
-    submit(open[rr_++ % open.size()], make(due));
-  }
+  issue_due(plain_, false);
+  issue_due(fenced_, true);
 }
 
 void ReadStream::add_pollfds(std::vector<pollfd>& fds) const {
@@ -469,12 +473,13 @@ void ReadStream::harvest(std::int64_t now, const std::vector<pollfd>& ready) {
         continue;
       }
       check(i, req, r);
+      ++spans_.ops;
+      if (req.min_index == 0) ++plain_answered_;
       if (measuring) {
         const double us = static_cast<double>(now - req.due_ns) / 1e3;
-        if (latency_us != nullptr) latency_us->push_back(us);
-        if (req.min_index > 0 && fence_latency_us != nullptr) {
-          fence_latency_us->push_back(us);
-        }
+        std::vector<double>* sink =
+            req.min_index > 0 ? fence_latency_us : latency_us;
+        if (sink != nullptr) sink->push_back(us);
       }
     }
   }
@@ -484,6 +489,49 @@ std::size_t ReadStream::in_flight() const {
   std::size_t n = 0;
   for (const auto& p : pending_) n += p.size();
   return n;
+}
+
+// ------------------------------------------------------- leader finding ---
+
+omega::ProcessId find_leader(const Cluster& cl, Link& ctl, double timeout_s) {
+  const std::int64_t deadline =
+      now_ns() + static_cast<std::int64_t>(timeout_s * 1e9);
+  while (now_ns() < deadline) {
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      if (!cl.alive(n)) continue;
+      try {
+        ctl.open(n, cl.port(n), 200);
+        const Client::Result r = ctl.client().leader(kGid);
+        ctl.close();
+        if (r.ok() && r.view.leader != omega::kNoProcess &&
+            cl.alive(cl.node_of(r.view.leader))) {
+          return r.view.leader;
+        }
+      } catch (const NetError&) {
+        ctl.close();
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return omega::kNoProcess;
+}
+
+std::optional<std::uint32_t> follow_leader(AppendStream& s, const Cluster& cl,
+                                           Link& ctl, double timeout_s) {
+  s.close_settled();
+  omega::ProcessId leader = s.hint();
+  if (leader == omega::kNoProcess || !cl.alive(cl.node_of(leader))) {
+    leader = find_leader(cl, ctl, timeout_s);
+  }
+  if (leader == omega::kNoProcess) return std::nullopt;
+  const std::uint32_t node = cl.node_of(leader);
+  try {
+    s.connect(node, cl.port(node));
+  } catch (const NetError&) {
+    s.disconnect();
+    return std::nullopt;
+  }
+  return node;
 }
 
 }  // namespace perfbench

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -16,6 +17,8 @@
 #include "net/client.h"
 
 namespace perfbench {
+
+class Cluster;
 
 /// The generator never holds more connections than this (the 4 cores of
 /// the reference box); opening one more is a bug in the benchmark.
@@ -41,6 +44,7 @@ struct Spans {
   bool on = false;
   SpanTotals send;  ///< append_async / read_async
   SpanTotals recv;  ///< next_append_result / next_read_result
+  std::uint64_t ops = 0;  ///< operations answered, spans on or off
 };
 
 /// One budgeted client connection to a node.
@@ -136,8 +140,13 @@ class AppendStream {
   AppendStream(std::vector<Link*> links, std::uint64_t client_base,
                CommandDeck& deck, LogBook& book, Spans& spans);
 
-  /// Opens every link to `node` and resubmits what waits.
+  /// Opens every link to `node` and resubmits what waits (after
+  /// close_settled()).
   void connect(std::uint32_t node, std::uint16_t port);
+  /// Collects the answers to requests in flight on live links (for up to
+  /// 0.5 s; a kNotLeader answer makes a request safe to resubmit), then
+  /// closes every link.
+  void close_settled();
   /// Closes every link; requests still in flight become indeterminate.
   void disconnect();
   bool connected() const;
@@ -212,12 +221,15 @@ class AppendStream {
   omega::ProcessId hint_ = omega::kNoProcess;
 };
 
-/// Point reads over one or more links, each to its own node, closed loop
-/// (a fixed number in flight per link) or open loop (a rate). Every
-/// answer is checked: per link and key the returned index never moves
-/// backwards; a fenced read (min_index > 0) and any lease or committed
-/// read reach the key's acknowledged floor at send time. Refusals and
-/// broken links are retried, so a read only fails if the run ends first.
+/// Point reads over one or more links, each to its own node, open loop:
+/// plain reads at one rate and fenced reads (read-your-writes: min_index
+/// = the newest acknowledged append's position + 1, on that append's key)
+/// at another, so reads parked on a fence never hold up the plain reads.
+/// Due reads go round-robin over the open links. Every answer is checked:
+/// per link and key the returned index never moves backwards; a fenced
+/// read and any lease or committed read reach the key's acknowledged
+/// floor at send time. Refusals and broken links are retried, so a read
+/// only fails if the run ends first.
 class ReadStream {
  public:
   struct Tally {
@@ -231,11 +243,10 @@ class ReadStream {
 
   /// Keys reads are drawn from (the acknowledged commands).
   void set_pool(const std::vector<std::uint64_t>* pool) { pool_ = pool; }
-  /// Share of reads that carry min_index = the newest acknowledged
-  /// append's position + 1 and read that append's key.
-  void set_fence_share(double share) { fence_share_ = share; }
-  void set_depth(std::size_t depth) { depth_ = depth; }
+  /// Plain reads: `per_s` per second from `start_ns` on (0: off).
   void set_rate(double per_s, std::int64_t start_ns);
+  /// Fenced reads: `per_s` per second from `start_ns` on (0: off).
+  void set_fence_rate(double per_s, std::int64_t start_ns);
 
   /// (Re)opens link `i` to `node`; waiting reads resume there.
   void connect(std::size_t i, std::uint32_t node, std::uint16_t port);
@@ -249,15 +260,19 @@ class ReadStream {
 
   std::size_t in_flight() const;
   std::size_t waiting() const { return wait_.size(); }
+  /// Answers by status, plain and fenced reads together.
   const Tally& tally() const { return tally_; }
+  /// Plain reads answered.
+  std::uint64_t plain_answered() const { return plain_answered_; }
   std::uint64_t stale() const { return stale_; }
   /// A note on the first stale answer, for the failure report.
   const std::string& stale_note() const { return stale_note_; }
   /// Distinct (key, index > 0) answers, to verify against the final log.
   const std::unordered_set<std::uint64_t>& answers() const { return answers_; }
 
-  std::vector<double>* latency_us = nullptr;        ///< every answered read
-  std::vector<double>* fence_latency_us = nullptr;  ///< fenced reads only
+  std::vector<double>* latency_us = nullptr;        ///< plain reads
+  std::vector<double>* fence_latency_us = nullptr;  ///< fenced reads
+  std::vector<double>* late_us = nullptr;  ///< plain reads: sent - due
   bool measuring = true;  ///< false: answers are checked, not timed
 
  private:
@@ -267,7 +282,14 @@ class ReadStream {
     std::uint64_t floor = 0;
     std::int64_t due_ns = 0;
   };
-  Request make(std::int64_t due);
+  /// A schedule of open-loop requests.
+  struct Schedule {
+    double rate = 0;
+    std::int64_t start_ns = 0;
+    std::uint64_t issued = 0;
+    std::int64_t next_due() const;
+  };
+  Request make(std::int64_t due, bool fenced);
   void submit(std::size_t link, Request req);
   void fail_link(std::size_t link);
   void check(std::size_t link, const Request& req,
@@ -282,16 +304,26 @@ class ReadStream {
   LogBook& book_;
   Spans& spans_;
   const std::vector<std::uint64_t>* pool_ = nullptr;
-  double fence_share_ = 0;
-  std::size_t depth_ = 0;
-  double rate_ = 0;
-  std::int64_t start_ns_ = 0;
-  std::uint64_t issued_ = 0;
+  Schedule plain_, fenced_;
   std::size_t rr_ = 0;
   Tally tally_;
+  std::uint64_t plain_answered_ = 0;
   std::uint64_t stale_ = 0;
   std::string stale_note_;
   std::unordered_set<std::uint64_t> answers_;
 };
+
+/// Asks the live nodes of `cl`, over `ctl`, until one names a live
+/// leader or `timeout_s` passes (then kNoProcess).
+omega::ProcessId find_leader(const Cluster& cl, Link& ctl, double timeout_s);
+
+/// Points `s` at the leader again after it lost it. Its links are settled
+/// and closed first, so asking around over `ctl` stays within the
+/// connection budget. Follows the leader named by the last kNotLeader
+/// answer when that node is alive, else asks the live nodes for up to
+/// `timeout_s`. Returns the leader's node, or nullopt (and `s` stays
+/// closed) when none was found.
+std::optional<std::uint32_t> follow_leader(AppendStream& s, const Cluster& cl,
+                                           Link& ctl, double timeout_s);
 
 }  // namespace perfbench
