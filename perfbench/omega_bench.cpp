@@ -274,7 +274,13 @@ class Bench {
   std::uint32_t follow(AppendStream& s);
   std::optional<Client::MetricsResult> scrape(std::uint32_t node);
   void scrape_all(MetricLedger& ledger, bool baseline);
+  /// Forks the cluster and waits until it has formed; returns setup_s.
   double boot();
+  /// Waits until every node names the same leader and has applied the
+  /// first append (`cmd`, read with min_index `fence`): a node whose
+  /// mirror stream is not up yet would start the load already behind.
+  void await_formed(std::uint64_t cmd, std::uint64_t fence,
+                    std::int64_t deadline);
   Edge edge() const;
 
   // --- workloads ---
@@ -294,6 +300,9 @@ class Bench {
 
   // --- verdicts ---
   void verify_logs();
+  /// The mirror and election counters of every node, for a check that
+  /// found a node behind.
+  std::string mirror_note();
   void layers(const Window& w, const MetricLedger& wl,
               const MetricLedger& fl, const Faults& f,
               std::uint32_t leader, double overhead, double residual);
@@ -395,13 +404,41 @@ double Bench::boot() {
       ctl_.close();
       if (r.ok()) {
         book_.record(Acked{1, 1, cmd, r.index, t1});
-        return static_cast<double>(t1 - t0) / 1e9;
+        await_formed(cmd, r.index + 1, deadline);
+        return static_cast<double>(now_ns() - t0) / 1e9;
       }
     } catch (const NetError&) {
       ctl_.close();
     }
   }
   throw std::runtime_error("cluster never acknowledged an append");
+}
+
+void Bench::await_formed(std::uint64_t cmd, std::uint64_t fence,
+                         std::int64_t deadline) {
+  while (now_ns() < deadline) {
+    ProcessId leader = kNoProcess;
+    std::uint32_t formed = 0;
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      try {
+        ctl_.open(n, cl_->port(n), 200);
+        const Client::Result lr = ctl_.client().leader(kGid);
+        const Client::ReadResult rr = ctl_.client().read(kGid, cmd, fence, 200);
+        ctl_.close();
+        if (n == 0) leader = lr.view.leader;
+        if (lr.ok() && lr.view.leader != kNoProcess &&
+            lr.view.leader == leader && rr.ok() && rr.index >= fence) {
+          ++formed;
+        }
+      } catch (const NetError&) {
+        ctl_.close();
+      }
+    }
+    if (formed == kNodes) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  throw std::runtime_error("the cluster never formed: a node never applied "
+                           "the first append or named another leader");
 }
 
 // ------------------------------------------------------------ workloads ---
@@ -960,6 +997,24 @@ void Bench::fence_probe(int rounds) {
 
 // --------------------------------------------------------------- verdicts ---
 
+std::string Bench::mirror_note() {
+  static const char* const kNames[] = {"svc.epoch_changes", "mirror.reconnects",
+                                       "mirror.resyncs", "mirror.max_unacked",
+                                       "smr.watchdog_fires"};
+  std::string note;
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    const auto m = scrape(n);
+    if (!m) continue;
+    note += "; node " + std::to_string(n);
+    for (const char* name : kNames) {
+      const omega::obs::MetricSample* s = m->find(name);
+      note += std::string(" ") + name + "=" +
+              (s != nullptr ? std::to_string(s->value) : "?");
+    }
+  }
+  return note;
+}
+
 void Bench::verify_logs() {
   std::uint64_t need = 0;
   for (const Acked& a : book_.acked) need = std::max(need, a.index + 1);
@@ -988,7 +1043,7 @@ void Bench::verify_logs() {
     if (entries.empty() && lagging.empty()) {
       lagging = "; node " + std::to_string(n) + " stayed at " +
                 std::to_string(seen) + " of " + std::to_string(need) +
-                " entries for 20 s";
+                " entries for 20 s" + mirror_note();
     }
     logs.push_back(std::move(entries));
   }
