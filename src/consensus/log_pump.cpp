@@ -225,8 +225,49 @@ bool LogPump::read_payload(std::uint32_t s, std::uint64_t descriptor,
   return false;
 }
 
+void LogPump::propose(std::uint32_t s, std::uint64_t value) {
+  for (ProcessId i = 0; i < host_.n(); ++i) {
+    if (!host_.live(i)) continue;
+    host_.spawn(i, log_.slot(s).proposer(i, value, [](std::uint64_t) {}));
+  }
+}
+
+bool LogPump::foreign_batch(std::uint32_t s, std::uint64_t& descriptor) {
+  if (batch_.max_batch == 1) return false;
+  const BatchBuffer& buf = *batch_.buffer;
+  const std::uint32_t row = s % buf.rows();
+  MemoryBackend& mem = host_.memory();
+  for (ProcessId bank = 0; bank < buf.banks(); ++bank) {
+    if (bank == batch_.sealer) continue;
+    const std::uint64_t seal = buf.load_seal(mem, bank, row);
+    if (seal_slot(seal) != s) continue;
+    scratch_.clear();
+    for (std::uint32_t i = 0; i < buf.cols(); ++i) {
+      const std::uint64_t cmd = buf.load_cmd(mem, bank, row, i);
+      if (cmd == 0) break;
+      scratch_.push_back(cmd);
+    }
+    const auto count = static_cast<std::uint32_t>(scratch_.size());
+    // Same seqlock discipline as read_payload: the seal must not have
+    // moved while the row was read, and the row must match it.
+    if (count == 0 || count > batch_.max_batch ||
+        buf.load_seal(mem, bank, row) != seal ||
+        batch_checksum(scratch_.data(), count) != seal_checksum(seal)) {
+      continue;
+    }
+    descriptor = encode_batch_descriptor(count, bank);
+    return true;
+  }
+  return false;
+}
+
+void LogPump::drop_resubmits(std::vector<std::uint64_t>& tickets) {
+  for (const Seal& seal : resubmit_) tickets.push_back(seal.ticket);
+  resubmit_.clear();
+}
+
 std::uint32_t LogPump::tick(BatchSource& source, std::vector<Commit>& commits,
-                            bool repush_remote) {
+                            bool repush_remote, std::uint32_t seal_limit) {
   // 1. Harvest in slot order: a later slot may already be decided, but it
   // is not visible until every earlier slot is (log order = slot order).
   // The probe runs past started_ too — in a mirrored deployment another
@@ -304,6 +345,9 @@ std::uint32_t LogPump::tick(BatchSource& source, std::vector<Commit>& commits,
       for (std::uint32_t i = 0; i < count; ++i) {
         batch_.buffer->store_cmd(mem, sealer, row, i, scratch_[i]);
       }
+      if (count < batch_.buffer->cols()) {
+        batch_.buffer->store_cmd(mem, sealer, row, count, 0);
+      }
       for (std::uint32_t i = 0; i < count; ++i) {
         batch_.buffer->store_trace(mem, sealer, row, i, trace_scratch_[i]);
       }
@@ -323,7 +367,8 @@ std::uint32_t LogPump::tick(BatchSource& source, std::vector<Commit>& commits,
   // never waiting to fill up — so a lone command at low load pays no
   // batching delay, and a backlog under full windows drains max_batch per
   // freed slot. Displaced batches re-propose before fresh pulls.
-  while (started_ < log_.capacity() && started_ - committed_ < window_) {
+  while (started_ < log_.capacity() && started_ < seal_limit &&
+         started_ - committed_ < window_) {
     bool any_live = false;
     for (ProcessId i = 0; i < host_.n() && !any_live; ++i) {
       any_live = host_.live(i);
@@ -340,7 +385,16 @@ std::uint32_t LogPump::tick(BatchSource& source, std::vector<Commit>& commits,
       const std::uint32_t count =
           source.pull(batch_.max_batch, scratch_, seal.ticket,
                       trace_scratch_);
-      if (count == 0) break;
+      if (count == 0) {
+        // Nothing of our own to seal. A batch another sealer sealed for
+        // this slot (a deposed leader's in-flight batch) would otherwise
+        // wait for our next append: drive it to decision ourselves.
+        std::uint64_t foreign = 0;
+        if (!foreign_batch(started_, foreign)) break;
+        propose(started_, foreign);
+        ++started_;
+        continue;
+      }
       OMEGA_CHECK(count <= batch_.max_batch && scratch_.size() == count,
                   "supplier returned " << count << "/" << scratch_.size()
                                        << " commands, max_batch is "
@@ -367,6 +421,11 @@ std::uint32_t LogPump::tick(BatchSource& source, std::vector<Commit>& commits,
         batch_.buffer->store_cmd(host_.memory(), batch_.sealer, row, i,
                                  seal.cmds[i]);
       }
+      // A zero after a short batch lets another sealer's pump recover the
+      // count from the row alone (foreign_batch).
+      if (count < batch_.buffer->cols()) {
+        batch_.buffer->store_cmd(host_.memory(), batch_.sealer, row, count, 0);
+      }
       for (std::uint32_t i = 0; i < count; ++i) {
         batch_.buffer->store_trace(host_.memory(), batch_.sealer, row, i,
                                    seal.traces[i]);
@@ -382,11 +441,7 @@ std::uint32_t LogPump::tick(BatchSource& source, std::vector<Commit>& commits,
                  seal.traces.front(), seal.traces.back());
       seal.value = encode_batch_descriptor(count, batch_.sealer);
     }
-    for (ProcessId i = 0; i < host_.n(); ++i) {
-      if (!host_.live(i)) continue;
-      host_.spawn(i, log_.slot(started_).proposer(i, seal.value,
-                                                  [](std::uint64_t) {}));
-    }
+    propose(started_, seal.value);
     local_seals_.push_back(std::move(seal));
     ++started_;
   }

@@ -53,6 +53,11 @@
 //     the displaced batch at the next free slot, exactly once; commits
 //     report whether they were locally sealed (and under which ticket) so
 //     the intake layer acknowledges exactly its own commands.
+//   * Adoption — a leader with nothing of its own to seal proposes the
+//     batch another sealer already sealed for its next slot (a deposed
+//     leader's in-flight batch), so the clients waiting on it get their
+//     answer without waiting for the next append. A short batch's row
+//     ends in a zero command, so the count is recoverable from the row.
 //
 // Flush policy is adaptive by construction: a slot is proposed as soon as
 // the window has room and *anything* is pending (no wait to fill a batch),
@@ -243,15 +248,29 @@ class LogPump {
 
   /// One pump step. Appends the commands of newly decided slots (in slot
   /// order, batches expanded FIFO) to `commits` and returns how many were
-  /// appended; then, while the window has room and capacity remains,
-  /// re-proposes displaced batches and drains up to max_batch commands
-  /// per new slot from `source`, spawning one proposer per live replica.
-  /// Never blocks. `repush_remote` re-pokes the payload of remote-sealed
-  /// slots as they are harvested (commands, then seal), so a node taking
-  /// over leadership re-publishes adopted batches onto its own push
-  /// stream for mirrors whose stream from the dead sealer was cut short.
+  /// appended; then, while the window has room, capacity remains and the
+  /// next slot is below `seal_limit`, re-proposes displaced batches and
+  /// drains up to max_batch commands per new slot from `source`, spawning
+  /// one proposer per live replica. Never blocks. `repush_remote` re-pokes
+  /// the payload of remote-sealed slots as they are harvested (commands,
+  /// then seal), so a node taking over leadership re-publishes adopted
+  /// batches onto its own push stream for mirrors whose stream from the
+  /// dead sealer was cut short. `seal_limit` is the multi-process
+  /// sealing bound: a node that does not lead starts no slot (0), and a
+  /// leader starts none a live mirror could not read back from the ring.
   std::uint32_t tick(BatchSource& source, std::vector<Commit>& commits,
-                     bool repush_remote = false);
+                     bool repush_remote = false,
+                     std::uint32_t seal_limit = kNoSealLimit);
+
+  /// tick()'s default: no bound beyond the window and the capacity.
+  static constexpr std::uint32_t kNoSealLimit = ~std::uint32_t{0};
+
+  /// Gives up every displaced batch still waiting for re-proposal:
+  /// appends their supplier tickets to `tickets` and forgets them. For a
+  /// node that no longer leads — its batches lost their slots, so none of
+  /// them is in the log, and the supplier answers their commands instead
+  /// of letting them wait for a leadership that went elsewhere.
+  void drop_resubmits(std::vector<std::uint64_t>& tickets);
 
   /// Single-command convenience: `supply` returns one command (kNoCommand
   /// when nothing is pending). Requires max_batch == 1.
@@ -293,6 +312,15 @@ class LogPump {
     /// failover it survived).
     std::int64_t sealed_ns = 0;
   };
+
+  /// Spawns slot `s`'s proposers (one per live replica) for `value`.
+  void propose(std::uint32_t s, std::uint64_t value);
+
+  /// A batch another sealer sealed for slot `s`: its descriptor, recovered
+  /// from that sealer's spill row (the count is the commands before the
+  /// row's zero terminator, checked against the seal). False when no
+  /// other bank holds an intact seal for `s`.
+  bool foreign_batch(std::uint32_t s, std::uint64_t& descriptor);
 
   /// Reads slot `s`'s payload out of the spill row named by `descriptor`
   /// into scratch_. Returns false when the payload is not yet visible

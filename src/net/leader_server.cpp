@@ -1024,6 +1024,11 @@ void LeaderServer::drain_acks(std::uint32_t loop_idx) {
       case smr::AppendOutcome::kSessionEvicted:
         status = Status::kSessionEvicted;
         break;
+      case smr::AppendOutcome::kNotLeader:
+        // Accepted while this node led, never sealed here: the hint
+        // filled in below names the node to retry against.
+        status = Status::kNotLeader;
+        break;
     }
     svc::LeaderView view;
     if (service_.try_leader(ack.gid, view)) {

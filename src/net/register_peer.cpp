@@ -427,6 +427,7 @@ void MirrorTransport::handle_peer_frame(RegisterPeer& p, const Frame& f) {
                                 static_cast<std::ptrdiff_t>(covered_marks));
         if (wseq > p.acked_wseq.load(std::memory_order_relaxed)) {
           p.acked_wseq.store(wseq, std::memory_order_release);
+          if (ack_listener_) ack_listener_();
         }
       }
       const std::int64_t now = now_ns();
@@ -663,6 +664,11 @@ void MirrorTransport::handle_inbound_frame(Inbound& c, const Frame& f) {
 
 // --- inbound durability (quorum_ack) ---------------------------------------
 
+void MirrorTransport::set_ack_listener(std::function<void()> listener) {
+  OMEGA_CHECK(!started_, "install the ack listener before start()");
+  ack_listener_ = std::move(listener);
+}
+
 void MirrorTransport::set_inbound_journal(InboundJournal journal) {
   OMEGA_CHECK(!started_, "install the inbound journal before start()");
   inbound_journal_ = std::move(journal);
@@ -729,23 +735,31 @@ bool MirrorTransport::flush_out(int fd, std::vector<std::uint8_t>& out,
 
 // --- observation -----------------------------------------------------------
 
+bool MirrorTransport::live(const RegisterPeer& p, std::int64_t now) const {
+  if (!p.connected.load(std::memory_order_acquire)) return false;
+  // A peer whose acks have stalled outright is dead for the sealing bound
+  // even though its TCP stream looks alive (a frozen process keeps its
+  // sockets): waiting for it would stall every append until the kernel
+  // buffers finally burst max_outbuf_bytes.
+  return cfg_.ack_stall_us <= 0 ||
+         p.backlog.load(std::memory_order_relaxed) == 0 ||
+         now - p.last_ack_ns.load(std::memory_order_relaxed) <=
+             cfg_.ack_stall_us * 1000;
+}
+
+bool MirrorTransport::peer_live(std::uint32_t node) const {
+  for (const auto& p : peers_) {
+    if (p->cfg.node == node) return live(*p, now_ns());
+  }
+  return false;
+}
+
 std::uint64_t MirrorTransport::max_unacked_frames() const {
   std::uint64_t deepest = 0;
   const std::int64_t now = now_ns();
   for (const auto& p : peers_) {
-    if (!p->connected.load(std::memory_order_acquire)) continue;
-    const std::uint64_t backlog =
-        p->backlog.load(std::memory_order_relaxed);
-    // A peer whose acks have stalled outright is dead for flow-control
-    // purposes even though its TCP stream looks alive (a frozen process
-    // keeps its sockets): throttling the group for it would stall every
-    // append until the kernel buffers finally burst max_outbuf_bytes.
-    if (cfg_.ack_stall_us > 0 && backlog > 0 &&
-        now - p->last_ack_ns.load(std::memory_order_relaxed) >
-            cfg_.ack_stall_us * 1000) {
-      continue;
-    }
-    deepest = std::max(deepest, backlog);
+    if (!live(*p, now)) continue;
+    deepest = std::max(deepest, p->backlog.load(std::memory_order_relaxed));
   }
   return deepest;
 }

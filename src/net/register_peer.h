@@ -32,11 +32,12 @@
 // stream: it is a suffix-compressed replay of the sender's history, and
 // per-cell values are monotone-refreshed to the sender's present.)
 //
-// Flow control: acks bound the sender's view of receiver lag.
-// max_unacked_frames() is the deepest (sent - acked) backlog over the
-// connected peers; the SMR pump stalls sealing new batches above a
-// threshold so a mirror can never lag past the spill ring. Ack round
-// trips double as the push-lag measurement surfaced in bench_e16.
+// Liveness: peer_live() says whether a peer's stream is connected and
+// its acks keep coming. The SMR leader waits for the apply cursor of
+// every live follower before it reuses a spill-ring row (smr/log_group.h)
+// and stops waiting for one that is not live. max_unacked_frames() (the
+// deepest sent - acked backlog) is a gauge only. Ack round trips double
+// as the push-lag measurement surfaced in bench_e16.
 //
 // Durability hooks (quorum_ack, PR 9): every on_local_write advances a
 // global *write watermark*; each flushed push batch carries a cover mark
@@ -89,10 +90,10 @@ struct MirrorConfig {
   /// snapshot on reconnect (one slow peer must not grow memory forever).
   std::size_t max_outbuf_bytes = 32u << 20;
   /// A connected peer with outstanding frames and NO ack progress for
-  /// this long stops counting toward max_unacked_frames(): a frozen box
-  /// (SIGSTOP, deep swap, a partition that keeps TCP established) must
-  /// not throttle the pump's flow control forever — it will resync by
-  /// snapshot when it recovers anyway. 0 disables the escape hatch.
+  /// this long stops counting as live (peer_live) and toward
+  /// max_unacked_frames(): a frozen box (SIGSTOP, deep swap, a partition
+  /// that keeps TCP established) must not hold the leader's sealing back
+  /// forever. 0 disables the escape hatch.
   std::int64_t ack_stall_us = 3000000;
 };
 
@@ -137,10 +138,15 @@ class MirrorTransport {
   /// MirroredMemory::should_push.
   void on_local_write(svc::GroupId gid, Cell c, std::uint64_t v);
 
-  /// Deepest (sent - acked) push-frame backlog over *connected* peers —
-  /// the pump's flow-control signal. Disconnected peers don't count (they
+  /// Deepest (sent - acked) push-frame backlog over live peers (the
+  /// mirror.max_unacked gauge). Disconnected peers don't count (they
   /// resync by snapshot).
   std::uint64_t max_unacked_frames() const;
+
+  /// Whether node `node`'s stream is live: connected, and acking within
+  /// MirrorConfig::ack_stall_us whenever frames are outstanding. False
+  /// for unknown nodes. Any thread.
+  bool peer_live(std::uint32_t node) const;
 
   /// Cuts every stream (inbound and outbound) so both directions rebuild
   /// with fresh snapshots — the big hammer a node reaches for when its
@@ -177,6 +183,12 @@ class MirrorTransport {
   using InboundJournal =
       std::function<std::uint64_t(svc::GroupId, std::uint32_t, std::uint64_t)>;
   void set_inbound_journal(InboundJournal journal);
+
+  /// Invoked on the transport's loop thread whenever some peer's acked
+  /// write watermark advances (acked_marks moved) — the quorum-progress
+  /// event that can release held acknowledgements. Must be cheap and
+  /// non-blocking. Install before start().
+  void set_ack_listener(std::function<void()> listener);
 
   /// WAL durability advanced through `durable_seq`: releases every
   /// deferred inbound ack whose records are covered. Any thread (the
@@ -220,7 +232,7 @@ class MirrorTransport {
     std::atomic<bool> connected{false};
     std::atomic<std::uint64_t> backlog{0};  ///< sent - acked
     /// Last instant the peer made ack progress (or (re)connected) —
-    /// read against MirrorConfig::ack_stall_us by max_unacked_frames.
+    /// read against MirrorConfig::ack_stall_us by live().
     std::atomic<std::int64_t> last_ack_ns{0};
     /// Newest write watermark this peer has acked (never reset: acked
     /// means applied, and the peer's mirror outlives the connection).
@@ -272,6 +284,8 @@ class MirrorTransport {
   /// durable_wal_ (loop thread). False = the connection died writing.
   bool drain_deferred_acks(Inbound& c);
   std::int64_t now_ns() const;
+  /// Connected, and not stalled on acks at `now` (see ack_stall_us).
+  bool live(const RegisterPeer& p, std::int64_t now) const;
 
   MirrorConfig cfg_;
   EventLoop loop_;
@@ -297,6 +311,7 @@ class MirrorTransport {
 
   /// Inbound durability (loop thread, except the setter).
   InboundJournal inbound_journal_;
+  std::function<void()> ack_listener_;  ///< set before start()
   std::uint64_t durable_wal_ = 0;  ///< newest released WAL seq (loop thread)
 
   std::vector<std::unique_ptr<RegisterPeer>> peers_;

@@ -22,7 +22,10 @@ void ProcExecutor::add_app_task(ProcTask task) {
 std::size_t ProcExecutor::reap_apps() {
   const std::size_t before = apps_.size();
   std::erase_if(apps_, [](const ProcTask& t) { return t.done(); });
-  if (apps_.size() != before) rr_ = 0;  // cursor may point past the end
+  if (apps_.size() != before) {
+    rr_ = 0;  // cursors may point past the end
+    app_rr_ = 0;
+  }
   return before - apps_.size();
 }
 
@@ -83,6 +86,55 @@ void ProcExecutor::exec(ProcTask& task) {
   OMEGA_CHECK(false, "task of p" << pid << " has no executable op");
 }
 
+void ProcExecutor::check_not_timed(const ProcTask& task,
+                                   const char* what) const {
+  OMEGA_CHECK(task.pending() != OpKind::kWaitTimer,
+              what << " of p" << proc_.self()
+                   << " suspended on WaitTimer (unsupported)");
+}
+
+bool ProcExecutor::step_app() {
+  for (std::size_t probe = 0; probe < apps_.size(); ++probe) {
+    const std::size_t i = (app_rr_ + probe) % apps_.size();
+    ProcTask& task = apps_[i];
+    check_not_timed(task, "app task");
+    if (!runnable(task)) continue;
+    exec(task);
+    if (task.pending() == OpKind::kDone) {
+      apps_left_.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    app_rr_ = i + 1;
+    return true;
+  }
+  return false;
+}
+
+std::uint32_t ProcExecutor::step_sweep(std::int64_t now_us,
+                                       std::uint32_t app_ops) {
+  if (crashed()) return 0;
+  last_now_us_ = now_us;
+  std::uint32_t ops = 0;
+  // Every T2 loop of every algorithm starts at a leader query, so the
+  // iteration ends when the heartbeat is back at one; the bound only
+  // guards against a heartbeat that never queries.
+  constexpr std::uint32_t kMaxHeartbeatOps = 1024;
+  bool begun = false;
+  for (std::uint32_t k = 0; k < kMaxHeartbeatOps; ++k) {
+    if (runnable(monitor_)) {
+      exec(monitor_);
+      ++ops;
+    }
+    check_not_timed(heartbeat_, "heartbeat");
+    if (!runnable(heartbeat_)) break;
+    if (begun && heartbeat_.pending() == OpKind::kLeaderQuery) break;
+    begun = true;
+    exec(heartbeat_);
+    ++ops;
+  }
+  for (std::uint32_t k = 0; k < app_ops && step_app(); ++k) ++ops;
+  return ops;
+}
+
 bool ProcExecutor::step_runnable(std::int64_t now_us) {
   if (crashed()) return false;
   last_now_us_ = now_us;
@@ -94,13 +146,7 @@ bool ProcExecutor::step_runnable(std::int64_t now_us) {
     ProcTask& task = slot == 0   ? monitor_
                      : slot == 1 ? heartbeat_
                                  : apps_[slot - 2];
-    // Only the monitor (slot 0) may block on the timer; a heartbeat or app
-    // task doing so would be skipped forever, so fail loudly instead of
-    // silently never resuming it.
-    OMEGA_CHECK(slot == 0 || task.pending() != OpKind::kWaitTimer,
-                (slot == 1 ? "heartbeat" : "app task")
-                    << " of p" << proc_.self()
-                    << " suspended on WaitTimer (unsupported)");
+    if (slot != 0) check_not_timed(task, slot == 1 ? "heartbeat" : "app task");
     if (!runnable(task)) continue;
     exec(task);
     if (slot >= 2 && task.pending() == OpKind::kDone) {

@@ -9,8 +9,8 @@
 //   * RtDriver (rt_driver.h) — thread-per-process: each executor gets a
 //     dedicated std::thread that calls step() in a loop;
 //   * svc::WorkerPool (svc/worker_pool.h) — pooled stepper: a fixed set of
-//     workers cooperatively steps thousands of executors, with timer waits
-//     batched through a timer wheel (poll_timer/fire hooks).
+//     workers cooperatively steps thousands of executors (step_sweep), with
+//     timer waits batched through a timer wheel (poll_timer/fire hooks).
 //
 // Threading contract: the stepping functions (step, step_runnable,
 // poll_timer, fire_timer_if_due, drain_monitor) must only ever be called by
@@ -78,6 +78,17 @@ class ProcExecutor {
   /// runnable.
   bool step_runnable(std::int64_t now_us);
 
+  /// One sweep of a pooled driver: exactly one T2 iteration of the
+  /// heartbeat — its leader query plus the writes it issues before the
+  /// next query — with the monitor taking turns beside it whenever it is
+  /// runnable outside its timer (step-counted timeouts), then up to
+  /// `app_ops` operations of the application tasks, round-robin. The
+  /// election needs one timely PROGRESS write per monitor period, so the
+  /// rest of a sweep belongs to application work. Dedicated-thread
+  /// drivers keep step(), which shares every step between all tasks.
+  /// Returns the number of operations executed.
+  std::uint32_t step_sweep(std::int64_t now_us, std::uint32_t app_ops);
+
   /// If the monitor is suspended on WaitTimer and no timer is armed, arms
   /// one at `now_us + next_timeout() * tick_us` (paper line 27) and returns
   /// the deadline so pooled drivers can file it in a timer wheel. Returns
@@ -124,6 +135,11 @@ class ProcExecutor {
  private:
   void exec(ProcTask& task);
   bool runnable(const ProcTask& task) const;
+  /// Executes one op of the next runnable app task (app_rr_ order).
+  bool step_app();
+  /// Fails loudly if a heartbeat or app task waits on the timer: only the
+  /// monitor may, and any other task would be skipped forever.
+  void check_not_timed(const ProcTask& task, const char* what) const;
 
   OmegaProcess& proc_;
   MemoryBackend& mem_;
@@ -133,6 +149,7 @@ class ProcExecutor {
   ProcTask monitor_;
   std::vector<ProcTask> apps_;
   std::size_t rr_ = 0;  ///< round-robin cursor over [monitor, heartbeat, apps]
+  std::size_t app_rr_ = 0;  ///< step_sweep's round-robin cursor over apps
 
   std::int64_t deadline_us_ = kNoDeadline;
   std::int64_t last_now_us_ = 0;  ///< timestamp for leader-change events

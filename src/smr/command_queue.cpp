@@ -227,6 +227,19 @@ void CommandQueue::abort_pending(AppendOutcome outcome) {
   for (auto& c : fire) c(outcome, 0);
 }
 
+void CommandQueue::abort_owned(std::uint64_t ticket, AppendOutcome outcome) {
+  std::vector<AppendCompletion> fire;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = owned_.find(ticket);
+    if (it == owned_.end()) return;
+    for (auto& e : it->second) take(e, fire);
+    owned_entries_ -= it->second.size();
+    owned_.erase(it);
+  }
+  for (auto& c : fire) c(outcome, 0);
+}
+
 void CommandQueue::abort_all(AppendOutcome outcome) {
   std::vector<AppendCompletion> fire;
   {

@@ -54,6 +54,7 @@ enum class AppendOutcome : std::uint8_t {
   kAborted,    ///< group torn down before the command committed
   kBadCommand, ///< command out of range, or a retry that changed it
   kSessionEvicted,  ///< dedup session TTL-expired; open_session to resume
+  kNotLeader,  ///< another node leads now; this node will never seal it
 };
 
 /// Fired exactly once per accepted submission, either synchronously from
@@ -170,6 +171,11 @@ class CommandQueue {
   /// Fails every entry that has not been pulled yet (log capacity
   /// exhausted): completions fire with `outcome`.
   void abort_pending(AppendOutcome outcome);
+
+  /// Gives up the owned batch `ticket` (its entries will never be
+  /// proposed again): completions fire with `outcome` and the ticket is
+  /// released. Unknown tickets are ignored.
+  void abort_owned(std::uint64_t ticket, AppendOutcome outcome);
 
   /// Teardown: answers every waiter — pending and in-flight — with
   /// `outcome`. Pending entries are dropped; in-flight entries stay (their

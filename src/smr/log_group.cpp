@@ -69,8 +69,8 @@ LogGroup::LogGroup(svc::GroupId gid, const SmrSpec& spec, CommitHook hook)
   if (spec_.max_batch > 1) {
     // The ring must cover the pipelined window (see BatchBuffer's reuse
     // argument). Multi-node: one bank per potential sealer — competing
-    // sealers never overwrite each other — plus slack rows so mirrors
-    // may trail the sealer by up to the flow-control stall threshold.
+    // sealers never overwrite each other — plus slack rows so live
+    // followers may trail the sealer by up to the apply-reach bound.
     const std::uint32_t banks = multi_node_ ? spec_.n : 1;
     const std::uint32_t rows =
         spec_.window + (multi_node_ ? spec_.ring_slack : 0);
@@ -136,8 +136,10 @@ void LogGroup::attach(svc::Group& g) {
       lease_fence_cell_ = layout.cell(lease_grp, kLeaseCellFence);
       lease_cells_ok_ = true;
     }
+    applied_cells_ok_ = layout.find_group("APPLIED", applied_grp_);
   }
   host_.g_ = &g;
+  waker_.store(g.waker, std::memory_order_release);
   pump_ = std::make_unique<LogPump>(
       log_, host_, spec_.window,
       LogPump::BatchPolicy{spec_.max_batch,
@@ -206,15 +208,14 @@ bool LogGroup::on_sweep(svc::Group& g, std::int64_t now_us) {
   const bool lease_on = spec_.lease_ttl_us > 0 && lease_cells_ok_;
   svc::LeaderView view{};
   if (multi_node_ || lease_on) view = g.cache.load();
+  std::uint32_t seal_limit = LogPump::kNoSealLimit;
   if (multi_node_) {
-    // Leadership and flow-control gates, sampled once per sweep: only
-    // the node hosting the agreed leader seals fresh batches, and only
-    // while no connected mirror trails past the flow-control threshold.
+    // Leadership and apply-reach gates, sampled once per sweep: only the
+    // node hosting the agreed leader starts slots, and only as far as
+    // every live follower can still read them back from the ring.
     leader_local_ =
         view.leader != kNoProcess && spec_.is_local(view.leader);
-    seal_ok_ = leader_local_ &&
-               (!spec_.mirror_backlog ||
-                spec_.mirror_backlog() <= spec_.max_unacked_push);
+    seal_limit = leader_local_ ? reach_limit(g) : 0;
     if (leader_local_ && !was_leader_local_ &&
         last_remote_leader_ != kNoProcess) {
       // This node just took over from a distinct remote leader — the
@@ -226,13 +227,19 @@ bool LogGroup::on_sweep(svc::Group& g, std::int64_t now_us) {
       obs::dump_trace("failover");
     }
     was_leader_local_ = leader_local_;
-    if (view.leader != kNoProcess && !spec_.is_local(view.leader)) {
+    if (view.leader != kNoProcess && !leader_local_) {
       last_remote_leader_ = view.leader;
+      answer_not_leader();
     }
   }
   scratch_.clear();
-  pump_->tick(source_, scratch_, /*repush_remote=*/multi_node_ &&
-                                     leader_local_);
+  const std::uint32_t started_before = pump_->started();
+  pump_->tick(source_, scratch_,
+              /*repush_remote=*/multi_node_ && leader_local_, seal_limit);
+  // A freshly sealed slot's proposers are runnable now: step them in the
+  // very next sweep instead of after the idle pace.
+  if (pump_->started() > started_before) g.wake();
+  if (multi_node_) publish_applied(g);
   if (!scratch_.empty()) {
     // Apply the sweep's whole harvest as one batch: one applied-log lock,
     // one commit-index publish, batched queue acknowledgement, one hook
@@ -292,6 +299,7 @@ bool LogGroup::on_sweep(svc::Group& g, std::int64_t now_us) {
         fire_scratch_ = {};
         std::lock_guard<std::mutex> lock(deferred_mu_);
         deferred_.push_back(std::move(b));
+        acks_held_.store(true, std::memory_order_release);
       }
     }
     {
@@ -374,9 +382,56 @@ void LogGroup::release_deferred() {
       ready.push_back(std::move(deferred_.front().fire));
       deferred_.pop_front();
     }
+    acks_held_.store(!deferred_.empty(), std::memory_order_release);
   }
   for (auto& fire : ready) {
     for (auto& [c, index] : fire) c(AppendOutcome::kCommitted, index);
+  }
+}
+
+std::uint32_t LogGroup::reach_limit(svc::Group& g) const {
+  if (!applied_cells_ok_) return LogPump::kNoSealLimit;
+  const Layout& layout = g.inst.memory->layout();
+  const std::uint64_t next = pump_->started();
+  const std::uint64_t rows = std::uint64_t{spec_.window} + spec_.ring_slack;
+  std::uint64_t limit = LogPump::kNoSealLimit;
+  for (ProcessId p = 0; p < spec_.n; ++p) {
+    if (spec_.is_local(p)) continue;
+    if (spec_.mirror_live && !spec_.mirror_live(p)) continue;
+    const std::uint64_t applied =
+        g.inst.memory->peek(layout.cell(applied_grp_, p));
+    // Already past the ring (sealing `next` reused the row of the slot it
+    // needs next): holding the log back can no longer help it.
+    if (next > applied + rows) continue;
+    limit = std::min(limit, applied + spec_.ring_slack);
+  }
+  return static_cast<std::uint32_t>(limit);
+}
+
+void LogGroup::publish_applied(svc::Group& g) {
+  if (!applied_cells_ok_) return;
+  const std::uint32_t committed = pump_->committed();
+  // A cursor that trails by a few slots only makes the leader's bound a
+  // little tighter; publishing every slot would cost a push frame per
+  // slot per peer.
+  const std::uint32_t step = std::max<std::uint32_t>(1, spec_.ring_slack / 8);
+  if (applied_published_ && committed < applied_pub_ + step) return;
+  const Layout& layout = g.inst.memory->layout();
+  for (ProcessId p = 0; p < spec_.n; ++p) {
+    if (spec_.is_local(p)) {
+      g.inst.memory->poke(layout.cell(applied_grp_, p), committed);
+    }
+  }
+  applied_pub_ = committed;
+  applied_published_ = true;
+}
+
+void LogGroup::answer_not_leader() {
+  queue_.abort_pending(AppendOutcome::kNotLeader);
+  ticket_scratch_.clear();
+  pump_->drop_resubmits(ticket_scratch_);
+  for (const std::uint64_t ticket : ticket_scratch_) {
+    queue_.abort_owned(ticket, AppendOutcome::kNotLeader);
   }
 }
 
@@ -609,6 +664,7 @@ void LogGroup::abort(AppendOutcome outcome) {
   {
     std::lock_guard<std::mutex> lock(deferred_mu_);
     held.swap(deferred_);
+    acks_held_.store(false, std::memory_order_release);
   }
   for (auto& b : held) {
     for (auto& [c, index] : b.fire) c(AppendOutcome::kCommitted, index);

@@ -34,14 +34,28 @@
 //     re-pushed by the new leader, and batches the new leader sealed
 //     that lost their slot are re-proposed exactly once (see
 //     consensus/log_pump.h for the ledger mechanics);
-//   * sealing is flow-controlled by the mirror transport: when a
-//     connected peer's unacked push backlog exceeds max_unacked_push,
-//     the pump stops sealing new batches so no mirror can lag past the
-//     spill ring.
+//   * a node that stops leading answers what it accepted but never
+//     sealed — queued appends and batches displaced from their slots —
+//     with kNotLeader, so clients retry at the node that leads now; the
+//     batches it sealed that are still in flight are adopted by the new
+//     leader once it idles (LogPump's adoption) and acknowledged here;
+//   * sealing is bounded by the followers' apply reach: every node
+//     publishes its pump's committed slot in its APPLIED cell, and the
+//     leader starts a slot only while every live follower's published
+//     cursor is within ring_slack slots of it, so no follower that keeps
+//     streaming can lag past the spill ring (a follower whose stream is
+//     down, whose acks stall, or that is already past the ring is not
+//     waited for).
 // Dedup sessions remain node-local: a client whose command committed
 // under a leader that then died can observe a duplicate if it retries
 // against the new leader (the classic async-replication window; closing
 // it means writing session state through the log itself — future work).
+//
+// Wakeups (svc::Waker): the pump wakes its worker itself when a sweep
+// sealed a slot (the proposers run in the very next sweep), the service
+// wakes it on every accepted append, and quorum progress (mirror acks,
+// WAL durability) wakes it while acknowledgements are held — the append
+// path never waits out the worker's idle pace.
 //
 // Wiring (done by SmrService): the LogGroup is handed to the svc registry
 // as GroupSpec{extra_registers = declare(), pump = this}; the Group
@@ -101,21 +115,20 @@ struct SmrSpec {
   /// Storage override forwarded to the svc group (the multi-node runtime
   /// installs a MirroredMemory factory wired to the push transport).
   MemoryFactory memory_factory{};
-  /// Flow-control probe: current deepest unacked push backlog (frames)
-  /// over connected mirror peers — net::MirrorTransport::
-  /// max_unacked_frames. Empty = no flow control (single-process).
-  std::function<std::uint64_t()> mirror_backlog{};
-  /// Sealing stalls while mirror_backlog() exceeds this.
-  std::uint64_t max_unacked_push = 128;
+  /// Liveness probe for the sealing bound: whether the node hosting
+  /// remote replica `p` still streams (net::MirrorTransport::peer_live —
+  /// connected, acks not stalled). The leader waits for the APPLIED
+  /// cursor of live replicas only. Empty = every remote replica is live.
+  std::function<bool(ProcessId)> mirror_live{};
   /// Self-healing hook: invoked when a decided slot's payload has not
   /// become readable for mirror_stall_resync_us (a wedged stream), to
   /// make the transport rebuild its streams with fresh snapshots —
   /// net::MirrorTransport::force_resync. Empty = wait indefinitely.
   std::function<void()> mirror_resync{};
   std::int64_t mirror_stall_resync_us = 2000000;
-  /// Extra spill-ring rows beyond the window in multi-node mode: the
-  /// slack a lagging mirror may trail the sealer by before the
-  /// flow-control stall kicks in.
+  /// Extra spill-ring rows beyond the window in multi-node mode, and the
+  /// sealing bound: the leader starts slot s only while every live
+  /// follower's published APPLIED cursor is above s - ring_slack.
   std::uint32_t ring_slack = 64;
 
   // --- durability (PR 9) ---------------------------------------------------
@@ -190,13 +203,16 @@ class LogGroup final : public svc::GroupPump {
   bool hosts(ProcessId pid) const noexcept { return spec_.is_local(pid); }
   bool multi_node() const noexcept { return multi_node_; }
 
-  /// LayoutExtension body for GroupSpec::extra_registers. The LEASE
-  /// cells are declared BEFORE the log's slot registers so they sit
-  /// below the WAL's durable floor (the first "L0REG" cell): they ride
-  /// the mirror push stream like any register but are never journaled —
-  /// lease state must die with the process, not survive a restart.
+  /// LayoutExtension body for GroupSpec::extra_registers. The LEASE and
+  /// APPLIED cells are declared BEFORE the log's slot registers so they
+  /// sit below the WAL's durable floor (the first "L0REG" cell): they
+  /// ride the mirror push stream like any register but are never
+  /// journaled — lease state must die with the process, and a restarted
+  /// node republishes its applied cursor from its own replay.
   void declare(LayoutBuilder& b) {
     b.add_array("LEASE", kLeaseCells, OwnerRule::kAny, /*critical=*/false);
+    b.add_array("APPLIED", spec_.n, OwnerRule::kRowOwner,
+                /*critical=*/false);
     log_.declare(b);
     if (batch_.has_value()) batch_->declare(b);
   }
@@ -287,6 +303,19 @@ class LogGroup final : public svc::GroupPump {
   /// committed command.
   void abort(AppendOutcome outcome = AppendOutcome::kAborted);
 
+  /// Cuts the owning worker's wait short (svc::Group::wake). Any thread;
+  /// a no-op before attach().
+  void wake() const {
+    if (svc::Waker* w = waker_.load(std::memory_order_acquire)) w->wake();
+  }
+
+  /// wake() iff acknowledgements are held for quorum_ack — the quorum
+  /// progress events (mirror acks, WAL durability) call this, so a leader
+  /// does not re-sweep on the acks of its own heartbeats. Any thread.
+  void wake_if_acks_held() const {
+    if (acks_held_.load(std::memory_order_acquire)) wake();
+  }
+
   /// Detaches the commit hook — a barrier: on return, no in-flight
   /// invocation is still running. The owning SmrService calls this before
   /// it dies, because the svc Group (which outlives it via
@@ -314,7 +343,7 @@ class LogGroup final : public svc::GroupPump {
 
   /// BatchSource over the command queue. Single-process: plain FIFO
   /// pull (ticket 0, commits pop in order). Multi-node: ticketed owned
-  /// batches, gated on local leadership and mirror flow control.
+  /// batches (the pump's seal limit gates leadership and apply reach).
   class QueueSource final : public BatchSource {
    public:
     explicit QueueSource(LogGroup& lg) : lg_(lg) {}
@@ -325,7 +354,6 @@ class LogGroup final : public svc::GroupPump {
         ticket = 0;
         return lg_.queue_.pull_batch(max, out, &traces);
       }
-      if (!lg_.seal_ok_) return 0;
       return lg_.queue_.pull_batch_owned(max, out, ticket, &traces);
     }
 
@@ -345,6 +373,21 @@ class LogGroup final : public svc::GroupPump {
   /// commit order).
   void release_deferred();
 
+  /// Multi-node sealing bound for this sweep: the first slot some live
+  /// follower could not read back from the spill ring once sealed — its
+  /// published APPLIED cursor plus ring_slack, minimum over live remote
+  /// replicas (LogPump::kNoSealLimit when none bounds it). Owner thread.
+  std::uint32_t reach_limit(svc::Group& g) const;
+
+  /// Publishes the pump's committed slot in this node's APPLIED cells
+  /// (every ring_slack / 8 slots, and once at the first sweep). Owner
+  /// thread.
+  void publish_applied(svc::Group& g);
+
+  /// Another node leads: answers every queued append and every displaced
+  /// batch with kNotLeader — none of them can reach the log from here.
+  void answer_not_leader();
+
   const svc::GroupId gid_;
   const SmrSpec spec_;
   const bool multi_node_;
@@ -353,8 +396,16 @@ class LogGroup final : public svc::GroupPump {
   std::optional<BatchBuffer> batch_;  ///< engaged iff max_batch > 1
   CommandQueue queue_;
   QueueSource source_;
-  bool seal_ok_ = true;       ///< per-sweep: may pull fresh batches
   bool leader_local_ = true;  ///< per-sweep: elected leader lives here
+  /// Woken by wake(): the owning shard's waker, set at attach().
+  std::atomic<svc::Waker*> waker_{nullptr};
+  /// APPLIED register group (resolved at attach) and the last cursor
+  /// this node published there.
+  GroupId applied_grp_ = 0;
+  bool applied_cells_ok_ = false;
+  bool applied_published_ = false;
+  std::uint32_t applied_pub_ = 0;
+  std::vector<std::uint64_t> ticket_scratch_;  ///< answer_not_leader
   /// Payload-stall watchdog (multi-node): when the pump reports stalls
   /// without commit progress for too long, fire the resync hook.
   std::uint64_t stall_marker_ = 0;   ///< payload_stalls at last progress
@@ -436,6 +487,7 @@ class LogGroup final : public svc::GroupPump {
   };
   std::mutex deferred_mu_;
   std::deque<DeferredBatch> deferred_;
+  std::atomic<bool> acks_held_{false};  ///< !deferred_.empty()
   const std::uint32_t local_votes_;   ///< replicas hosted by this process
   std::uint32_t durable_floor_ = wal::kNoDurableFloor;
   CommandQueue::DeferredFire fire_scratch_;  ///< per-sweep deferred fires

@@ -111,6 +111,7 @@ SmrNode::SmrNode(NodeTopology topo, svc::SvcConfig svc_cfg,
     // WAL", which is what lets a quorum of acks mean a quorum of WALs.
     wal_->set_durable_listener([this](std::uint64_t seq) {
       mirror_.release_durable_acks(seq);
+      smr_.wake_held_acks();  // the local half of quorum_ack's gate
     });
     mirror_.set_inbound_journal(
         [this](svc::GroupId gid, std::uint32_t cell,
@@ -125,6 +126,9 @@ SmrNode::SmrNode(NodeTopology topo, svc::SvcConfig svc_cfg,
           return wal_->append_cell(gid, cell, value);
         });
   }
+  // A peer's ack watermark moving is the remote half of quorum_ack's
+  // gate: wake the logs that hold acknowledgements for it.
+  mirror_.set_ack_listener([this] { smr_.wake_held_acks(); });
   net_cfg.bind_address = topo_.nodes[topo_.self].host;
   net_cfg.port = topo_.nodes[topo_.self].serve_port;
   // Stamp this node's identity into METRICS responses (v1.5) so merged
@@ -190,8 +194,8 @@ void SmrNode::add_log(svc::GroupId gid, SmrSpec spec) {
     }
     return mem;
   };
-  spec.mirror_backlog = [transport] {
-    return transport->max_unacked_frames();
+  spec.mirror_live = [transport, this](ProcessId p) {
+    return transport->peer_live(topo_.node_of(p));
   };
   spec.mirror_resync = [transport] { transport->force_resync(); };
   // The quorum probes serve two consumers: quorum_ack commit deferral
@@ -240,7 +244,10 @@ void SmrNode::stop() {
   // Server first (stops serving + uninstalls listeners), then the worker
   // pool (stops stepping — and with it every write-observer call), then
   // the WAL (final drain + fsync; its durable listener may still release
-  // acks into the running mirror loop), then the mirror streams.
+  // acks into the running mirror loop and wake logs), then the mirror
+  // streams (whose ack listener wakes logs too). Both listeners reach
+  // into smr_ and svc_, which outlive this call; once the WAL flusher
+  // and the mirror loop have joined, nothing can invoke them again.
   server_->stop();
   svc_.stop();
   if (wal_) wal_->stop();

@@ -100,7 +100,19 @@ void SmrService::append(svc::GroupId gid, std::uint64_t client,
   // hand the queue a copy and keep the original callable.
   const CommandQueue::SubmitResult r =
       lg->queue().submit(client, seq, command, done, trace);
-  if (r.outcome != AppendOutcome::kAccepted) done(r.outcome, r.index);
+  if (r.outcome != AppendOutcome::kAccepted) {
+    done(r.outcome, r.index);
+    return;
+  }
+  lg->wake();  // seal it in the next sweep, not after the idle pace
+}
+
+void SmrService::wake_held_acks() const {
+  std::shared_lock<std::shared_mutex> lock(logs_mu_);
+  for (const auto& [gid, lg] : logs_) {
+    (void)gid;
+    lg->wake_if_acks_held();
+  }
 }
 
 bool SmrService::read_log(svc::GroupId gid, std::uint64_t from,

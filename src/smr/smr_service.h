@@ -106,6 +106,11 @@ class SmrService {
   /// redirect-to-leader-node gate.
   bool hosts_replica(svc::GroupId gid, ProcessId pid) const;
 
+  /// Quorum progress (a mirror ack watermark moved, the WAL fsynced):
+  /// wakes the worker of every log that holds acknowledgements for
+  /// quorum_ack. Any thread; cheap.
+  void wake_held_acks() const;
+
   /// Installs (or clears) the commit push listener. Barrier semantics as
   /// with svc's epoch listener: on return, no in-flight invocation of the
   /// previous listener is still running.

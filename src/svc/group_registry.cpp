@@ -6,8 +6,8 @@
 namespace omega::svc {
 
 Group::Group(GroupId id_, const GroupSpec& spec_, std::int64_t tick_us,
-             const std::function<SimTime()>& clock)
-    : id(id_), spec(spec_) {
+             const std::function<SimTime()>& clock, Waker* waker_)
+    : id(id_), spec(spec_), waker(waker_) {
   OMEGA_CHECK(spec.n >= 1 && spec.n <= 64,
               "group " << id << ": svc supports 1..64 processes, got "
                        << spec.n);
@@ -76,8 +76,9 @@ std::uint32_t GroupRegistry::shard_of(GroupId gid) const noexcept {
 }
 
 std::shared_ptr<Group> GroupRegistry::add(GroupId gid, const GroupSpec& spec) {
-  auto group = std::make_shared<Group>(gid, spec, tick_us_, clock_);
   Shard& shard = shards_[shard_of(gid)];
+  auto group =
+      std::make_shared<Group>(gid, spec, tick_us_, clock_, &shard.waker);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto [it, inserted] = shard.groups.emplace(gid, group);
@@ -132,6 +133,11 @@ void GroupRegistry::snapshot_shard(
     (void)gid;
     out.push_back(group);
   }
+}
+
+Waker& GroupRegistry::waker(std::uint32_t shard) {
+  OMEGA_CHECK(shard < shards_.size(), "bad shard " << shard);
+  return shards_[shard].waker;
 }
 
 void GroupRegistry::set_epoch_listener(EpochListener listener) {

@@ -17,6 +17,7 @@
 #include "rt/proc_executor.h"
 #include "svc/leader_cache.h"
 #include "svc/svc_types.h"
+#include "svc/waker.h"
 
 namespace omega::svc {
 
@@ -27,8 +28,10 @@ namespace omega::svc {
 struct Group {
   /// `clock` (optional) timestamps the group's instrumentation events; it
   /// is installed before the group becomes visible to any worker.
+  /// `waker` (optional) is the owning shard's; the pump may wake() it
+  /// from attach() on.
   Group(GroupId id, const GroupSpec& spec, std::int64_t tick_us,
-        const std::function<SimTime()>& clock);
+        const std::function<SimTime()>& clock, Waker* waker = nullptr);
 
   const GroupId id;
   const GroupSpec spec;
@@ -37,6 +40,13 @@ struct Group {
   LeaderCacheEntry cache;
   std::atomic<bool> retired{false};  ///< unlinked; worker drops it on sight
   std::atomic<bool> failed{false};   ///< a task threw (model violation)
+  Waker* const waker;  ///< the owning shard worker's (nullptr: none)
+
+  /// Cuts the owning worker's current wait short, so the next sweep of
+  /// this group's shard starts now. Any thread; coalesced (see Waker).
+  void wake() const {
+    if (waker != nullptr) waker->wake();
+  }
 
   /// The group's agreed view: the id every live process's last leader()
   /// output names, provided that id is itself live; kNoProcess while the
@@ -79,6 +89,10 @@ class GroupRegistry {
   void snapshot_shard(std::uint32_t shard,
                       std::vector<std::shared_ptr<Group>>& out) const;
 
+  /// The shard's waker: its worker waits on it between sweeps, and every
+  /// group of the shard wakes it (Group::wake).
+  Waker& waker(std::uint32_t shard);
+
   // --- epoch-change seam ---------------------------------------------------
 
   /// Installs (or clears, with an empty function) the listener that
@@ -101,6 +115,7 @@ class GroupRegistry {
     mutable std::mutex mu;
     std::unordered_map<GroupId, std::shared_ptr<Group>> groups;
     std::atomic<std::uint64_t> version{0};
+    Waker waker;
   };
 
   std::vector<Shard> shards_;  ///< sized once; Shard is pinned (mutex)

@@ -32,7 +32,9 @@ struct Group;  // defined in group_registry.h
 /// finished ones there. Its return value is the adaptive-pacing traffic
 /// signal: true when the sweep found application work (commits harvested,
 /// commands queued or in flight), false for a pure-maintenance sweep —
-/// see SvcConfig::max_pace_us. Exceptions escaping on_sweep are model
+/// see SvcConfig::max_pace_us. A pump with work for the very next sweep
+/// (or an event source on another thread) calls Group::wake() instead of
+/// waiting out the pace. Exceptions escaping on_sweep are model
 /// violations and fail the group like any task throw.
 class GroupPump {
  public:
@@ -77,23 +79,29 @@ struct SvcConfig {
   std::int64_t wheel_slot_us = 256;
   /// Timer-wheel slot count (one wheel per worker).
   std::uint32_t wheel_slots = 256;
-  /// Heartbeat/app operation budget per process per sweep; caps how long a
-  /// single group can hold a worker before its shard-mates get CPU.
+  /// Application-task operation budget per process per sweep (the log's
+  /// proposers); caps how long a single group can hold a worker before
+  /// its shard-mates get CPU. The Ω heartbeat is not charged to it: every
+  /// sweep gives each process exactly one heartbeat iteration (T2's
+  /// leader query plus the writes that follow it) — one timely PROGRESS
+  /// write per monitor period is all the election needs.
   std::uint32_t ops_per_sweep = 8;
-  /// Optional sleep between sweeps (microseconds); 0 = free-running. On
-  /// boxes with fewer cores than workers a small pace keeps the query
-  /// frontend and control threads responsive.
+  /// Idle cadence: the longest wait between two sweeps (microseconds) when
+  /// no event wakes the worker; 0 = free-running. Events that make work
+  /// (an accepted append, a quorum ack releasing held acknowledgements, a
+  /// slot the last sweep sealed) wake the worker at once (Group::wake),
+  /// so the pace bounds how often idle groups heartbeat, not how long a
+  /// request waits. On boxes with fewer cores than workers a small pace
+  /// keeps the query frontend and control threads responsive.
   std::int64_t pace_us = 0;
-  /// Adaptive sweep pacing: when > pace_us, a sweep that harvests nothing
+  /// Adaptive idle cadence: when > pace_us, a sweep that harvests nothing
   /// — no timer fires, no epoch movement, no application-pump traffic —
-  /// doubles the worker's sleep from pace_us up to this cap, and any
+  /// doubles the worker's wait from pace_us up to this cap, and any
   /// harvest snaps it back to pace_us. Converged idle groups then cost
   /// heartbeat writes at the backed-off cadence instead of a spinning
-  /// core (the sweep spin costs ~35% of batched SMR throughput on a
-  /// single-core box), while traffic keeps the fast pace. Pick it with
-  /// margin under the monitor timeout (tick_us × the algorithm's timeout
-  /// value), or the slowed heartbeats will look like crashes. 0 disables
-  /// (fixed pace_us, the pre-adaptive behaviour).
+  /// core. Pick it with margin under the monitor timeout (tick_us × the
+  /// algorithm's timeout value), or the slowed heartbeats will look like
+  /// crashes. 0 disables (fixed pace_us).
   std::int64_t max_pace_us = 0;
   /// Niceness the workers give themselves at start (0 = inherit). Once a
   /// fleet is converged, stepping is pure maintenance: on machines where

@@ -1,6 +1,7 @@
 #include "svc/worker_pool.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <unordered_map>
 
 #include "obs/flight_recorder.h"
@@ -32,6 +33,7 @@ WorkerPool::WorkerPool(GroupRegistry& registry, const SvcConfig& cfg)
   sweeps_ctr_ = &obs::counter("svc.sweeps");
   fires_ctr_ = &obs::counter("svc.timer_fires");
   epochs_ctr_ = &obs::counter("svc.epoch_changes");
+  group_failures_ctr_ = &obs::counter("svc.group_failures");
   sweep_hist_ = &obs::histogram("svc.sweep_ns");
   pace_gauge_id_ =
       obs::Registry::instance().register_gauge("svc.max_pace_us", [this] {
@@ -66,6 +68,8 @@ void WorkerPool::start() {
 void WorkerPool::stop() {
   if (!started_) return;
   stop_flag_.store(true, std::memory_order_release);
+  // A worker may be deep in an idle wait (max_pace_us); cut it short.
+  for (std::uint32_t w = 0; w < cfg_.workers; ++w) registry_.waker(w).wake();
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
   }
@@ -90,7 +94,12 @@ std::string WorkerPool::failure_message() const {
 }
 
 void WorkerPool::mark_failed(Group& group, const char* what) {
-  group.failed.store(true, std::memory_order_release);
+  if (group.failed.exchange(true, std::memory_order_acq_rel)) return;
+  // The group stops being stepped for good: say so where an operator
+  // looks (a node's log) and count it, or a stalled log shows nothing.
+  std::fprintf(stderr, "omega svc: group %llu failed: %s\n",
+               static_cast<unsigned long long>(group.id), what);
+  group_failures_ctr_->add(1);
   std::lock_guard<std::mutex> lock(failure_mutex_);
   if (!failed_.exchange(true, std::memory_order_acq_rel)) {
     failure_message_ = what;
@@ -108,6 +117,7 @@ void WorkerPool::run_worker(std::uint32_t w) {
   }
 #endif
   Worker& me = *workers_[w];
+  Waker& waker = registry_.waker(w);
   std::vector<TimerWheel::Due> due;
   std::unordered_map<GroupId, Group*> index;
   std::uint64_t steps_batch = 0;
@@ -181,10 +191,7 @@ void WorkerPool::run_worker(std::uint32_t w) {
           if (!g.execs[pid]) continue;  // hosted on another node
           ProcExecutor& ex = *g.execs[pid];
           if (ex.crashed()) continue;
-          for (std::uint32_t k = 0; k < cfg_.ops_per_sweep; ++k) {
-            if (!ex.step_runnable(now)) break;
-            ++steps_batch;
-          }
+          steps_batch += ex.step_sweep(now, cfg_.ops_per_sweep);
           const std::int64_t deadline = ex.poll_timer(now);
           if (deadline != kNoDeadline) me.wheel.insert(deadline, g.id, pid);
         }
@@ -231,9 +238,7 @@ void WorkerPool::run_worker(std::uint32_t w) {
       }
       me.pace_us.store(pace, std::memory_order_relaxed);
     }
-    if (pace > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(pace));
-    }
+    if (pace > 0) waker.wait_for(pace);
   }
 }
 

@@ -9,11 +9,14 @@
 //   2. advance the timer wheel and deliver the whole batch of due monitor
 //      wakeups — each wakeup runs one complete suspicion scan
 //      (ProcExecutor::drain_monitor) and re-files the next timeout;
-//   3. round-robin the shard's groups, giving every live process a bounded
-//      budget of heartbeat/app operations, arming any timer the monitor
+//   3. round-robin the shard's groups, giving every live process one
+//      heartbeat iteration and a bounded budget of app operations
+//      (ProcExecutor::step_sweep), arming any timer the monitor
 //      re-suspended on, and republishing the group's cached leader view —
 //      pushing the transition through the registry's epoch listener
-//      whenever the published view (and hence the epoch) actually moved.
+//      whenever the published view (and hence the epoch) actually moved;
+//   4. wait on the shard's Waker until the next sweep is due (the pace)
+//      or an event wakes it (Group::wake), whichever comes first.
 //
 // Operations of different groups never touch shared state (each group has
 // its own registers), so workers need no locks on the stepping path.
@@ -59,7 +62,8 @@ class WorkerPool {
 
   /// True iff any group's task threw (model violation); the first message
   /// is kept for diagnosis. The failed group stops being stepped; other
-  /// groups are unaffected.
+  /// groups are unaffected. Each group's failure is also printed to
+  /// stderr once and counted in svc.group_failures.
   bool failed() const noexcept {
     return failed_.load(std::memory_order_acquire);
   }
@@ -77,7 +81,7 @@ class WorkerPool {
     std::atomic<std::uint64_t> steps{0};
     std::atomic<std::uint64_t> sweeps{0};
     std::atomic<std::uint64_t> fires{0};
-    /// Current adaptive sleep (== cfg.pace_us unless backed off).
+    /// Current adaptive wait (== cfg.pace_us unless backed off).
     std::atomic<std::int64_t> pace_us{0};
   };
 
@@ -100,6 +104,7 @@ class WorkerPool {
   obs::Counter* sweeps_ctr_ = nullptr;   ///< svc.sweeps
   obs::Counter* fires_ctr_ = nullptr;    ///< svc.timer_fires
   obs::Counter* epochs_ctr_ = nullptr;   ///< svc.epoch_changes
+  obs::Counter* group_failures_ctr_ = nullptr;  ///< svc.group_failures
   obs::Histogram* sweep_hist_ = nullptr;  ///< svc.sweep_ns
   std::uint64_t pace_gauge_id_ = 0;       ///< svc.max_pace_us
 };

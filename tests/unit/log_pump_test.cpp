@@ -1,7 +1,9 @@
 // LogPump batching edges: FIFO expansion of batched slots, short batches
 // when the supplier runs dry mid-batch, window-full backpressure, the
-// descriptor/checksum codec, and B=1 equivalence with the legacy
-// single-command pump (same commits, same memory trace).
+// descriptor/checksum codec, B=1 equivalence with the legacy
+// single-command pump (same commits, same memory trace), what happens to
+// a batch displaced by a competing sealer, and an idle leader adopting a
+// batch another sealer left in flight.
 #include "consensus/log_pump.h"
 
 #include <gtest/gtest.h>
@@ -229,6 +231,127 @@ TEST(LogPump, SingleCommandTickRejectsBatchedPump) {
   std::vector<LogPump::Commit> commits;
   EXPECT_THROW(rig.pump->tick([] { return kNoCommand; }, commits),
                std::exception);
+}
+
+/// A sealer's view of the sim: only replica `mine` runs its proposers,
+/// as on one node of a multi-process deployment.
+class OneReplicaHost final : public PumpHost {
+ public:
+  OneReplicaHost(SimDriver& driver, ProcessId mine)
+      : sim_(driver), mine_(mine) {}
+  std::uint32_t n() const override { return sim_.n(); }
+  bool live(ProcessId i) const override { return i == mine_ && sim_.live(i); }
+  void spawn(ProcessId i, ProcTask task) override {
+    sim_.spawn(i, std::move(task));
+  }
+  MemoryBackend& memory() override { return sim_.memory(); }
+
+ private:
+  SimPumpHost sim_;
+  ProcessId mine_;
+};
+
+TEST(LogPump, DisplacedBatchWaitsForTheSealLimitAndCanBeDropped) {
+  // Two sealers race for slot 0 (the failover window): one wins, the
+  // other's batch is displaced. A displaced batch is re-proposed only
+  // below the seal limit, and a node that no longer leads drops it.
+  constexpr std::uint32_t kN = 2;
+  ReplicatedLog log(kN, /*capacity=*/8);
+  BatchBuffer buffer("T", /*banks=*/kN, /*rows=*/2, /*cols=*/4);
+  ScenarioConfig cfg;
+  cfg.n = kN;
+  cfg.world = World::kAwb;
+  cfg.seed = 3;
+  cfg.extra_registers = [&](LayoutBuilder& b) {
+    log.declare(b);
+    buffer.declare(b);
+  };
+  auto driver = make_scenario(cfg);
+  log.bind(driver->memory().layout());
+  buffer.bind(driver->memory().layout());
+  OneReplicaHost host0(*driver, 0);
+  OneReplicaHost host1(*driver, 1);
+  LogPump p0(log, host0, /*window=*/1, LogPump::BatchPolicy{4, &buffer, 0});
+  LogPump p1(log, host1, /*window=*/1, LogPump::BatchPolicy{4, &buffer, 1});
+  VecSource s0({11, 12});
+  VecSource s1({21});
+  std::vector<LogPump::Commit> c0;
+  std::vector<LogPump::Commit> c1;
+  p0.tick(s0, c0);
+  p1.tick(s1, c1);
+  for (int i = 0; i < 1000 && (p0.committed() == 0 || p1.committed() == 0);
+       ++i) {
+    driver->run_for(2000);
+    p0.tick(s0, c0, false, /*seal_limit=*/1);
+    p1.tick(s1, c1, false, /*seal_limit=*/1);
+  }
+  ASSERT_EQ(p0.committed(), 1u);
+  ASSERT_EQ(p1.committed(), 1u);
+  LogPump& loser = p0.resubmit_pending() == 1 ? p0 : p1;
+  VecSource& loser_src = &loser == &p0 ? s0 : s1;
+  std::vector<LogPump::Commit>& loser_commits = &loser == &p0 ? c0 : c1;
+  ASSERT_EQ(loser.resubmit_pending(), 1u) << "one sealer must lose slot 0";
+  for (const auto& c : loser_commits) EXPECT_FALSE(c.local);
+
+  // Held at the limit (a node that does not lead passes 0): no re-proposal.
+  loser.tick(loser_src, loser_commits, false, /*seal_limit=*/0);
+  EXPECT_EQ(loser.started(), 1u);
+  EXPECT_EQ(loser.resubmit_pending(), 1u);
+
+  std::vector<std::uint64_t> tickets;
+  loser.drop_resubmits(tickets);
+  ASSERT_EQ(tickets.size(), 1u);
+  EXPECT_EQ(tickets[0], 1u) << "the displaced batch's supplier ticket";
+  EXPECT_EQ(loser.resubmit_pending(), 0u);
+  loser.tick(loser_src, loser_commits);
+  EXPECT_EQ(loser.started(), 1u) << "a dropped batch is never re-proposed";
+}
+
+TEST(LogPump, IdleLeaderAdoptsAnotherSealersUndecidedSlot) {
+  // Replica 0's node sealed slot 0 and then stopped (its proposer never
+  // runs): the leader (replica 1) has nothing of its own to seal, so it
+  // proposes the sealed batch itself, and the sealer still acknowledges
+  // its own commands when the slot decides.
+  constexpr std::uint32_t kN = 2;
+  ReplicatedLog log(kN, /*capacity=*/8);
+  BatchBuffer buffer("T", /*banks=*/kN, /*rows=*/2, /*cols=*/4);
+  ScenarioConfig cfg;
+  cfg.n = kN;
+  cfg.world = World::kAwb;
+  cfg.timely = 1;
+  cfg.seed = 3;
+  cfg.extra_registers = [&](LayoutBuilder& b) {
+    log.declare(b);
+    buffer.declare(b);
+  };
+  auto driver = make_scenario(cfg);
+  driver->plan().pause_forever(0, 0);
+  log.bind(driver->memory().layout());
+  buffer.bind(driver->memory().layout());
+  OneReplicaHost host0(*driver, 0);
+  OneReplicaHost host1(*driver, 1);
+  LogPump p0(log, host0, /*window=*/2, LogPump::BatchPolicy{4, &buffer, 0});
+  LogPump p1(log, host1, /*window=*/2, LogPump::BatchPolicy{4, &buffer, 1});
+  VecSource s0({11, 12});
+  VecSource none({});
+  std::vector<LogPump::Commit> c0;
+  std::vector<LogPump::Commit> c1;
+  p0.tick(s0, c0);
+  ASSERT_EQ(p0.started(), 1u);
+  for (int i = 0; i < 1000 && p1.committed() == 0; ++i) {
+    p1.tick(none, c1);
+    driver->run_for(2000);
+  }
+  ASSERT_EQ(p1.committed(), 1u) << "the idle leader left slot 0 undecided";
+  EXPECT_EQ(values_of(c1), (std::vector<std::uint64_t>{11, 12}));
+  for (const auto& c : c1) EXPECT_FALSE(c.local);
+  EXPECT_EQ(p1.started(), 1u) << "nothing else was sealed to adopt";
+  p0.tick(s0, c0, false, /*seal_limit=*/0);
+  ASSERT_EQ(c0.size(), 2u);
+  for (const auto& c : c0) {
+    EXPECT_TRUE(c.local) << "the sealer acknowledges its own batch";
+    EXPECT_EQ(c.ticket, 1u);
+  }
 }
 
 }  // namespace
