@@ -125,15 +125,15 @@ LoadResult run_load(std::uint16_t port, std::uint32_t connections,
       const std::uint8_t* payload = nullptr;
       std::size_t len = 0;
       while (c.in.next(payload, len)) {
-        net::Frame f;
-        OMEGA_CHECK(net::decode_payload(payload, len, f) ==
+        net::Response f;
+        OMEGA_CHECK(net::decode_response(payload, len, f) ==
                         net::DecodeResult::kOk,
                     "malformed response");
         lat_ns.push_back(now - c.sent_ns);
         ++result.completed;
-        if (f.header.status != net::Status::kOk ||
-            f.view.leader == kNoProcess || f.view.leader >= 3 ||
-            f.view.gid != c.gid) {
+        const net::ViewBody& v = std::get<net::ViewBody>(f.body);
+        if (f.header.status != net::Status::kOk || v.leader == kNoProcess ||
+            v.leader >= 3 || v.gid != c.gid) {
           ++result.bad_answers;
         }
         send_query(c, pick(), buf);

@@ -90,13 +90,16 @@ int main() {
     }
   }
 
-  // 4. Server-side counters, over the wire as well.
-  const net::StatsBody stats = client.stats();
-  std::cout << "server: " << stats.connections << " connection(s), "
-            << stats.queries << " queries, " << stats.watches
-            << " active watch(es), " << stats.events << " event(s) pushed, "
-            << stats.groups << " groups on " << stats.io_threads
-            << " io thread(s)\n";
+  // 4. Server-side counters, over the wire as well: the METRICS scrape
+  //    carries one net.frames.<type> counter per request type served.
+  const net::Client::MetricsResult m = client.metrics();
+  std::cout << "server frames served:";
+  for (const obs::MetricSample& s : m.metrics) {
+    if (s.name.rfind("net.frames.", 0) == 0 && s.value > 0) {
+      std::cout << ' ' << s.name.substr(11) << '=' << s.value;
+    }
+  }
+  std::cout << '\n';
 
   client.close();
   server.stop();

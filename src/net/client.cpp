@@ -34,6 +34,18 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+std::chrono::steady_clock::time_point deadline_after(int ms) {
+  return std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+}
+
+/// Milliseconds left until `deadline` (negative once it has passed).
+int ms_until(std::chrono::steady_clock::time_point deadline) {
+  return static_cast<int>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now())
+          .count());
+}
+
 /// Backoff for attempt `k` (0-based) under `p`, with jitter from `rng`.
 int backoff_ms(const RetryPolicy& p, int k, Rng& rng) {
   std::int64_t ms = p.base_ms;
@@ -67,6 +79,8 @@ void Client::close() {
   // subscription flag itself survives for resubscribe().
   pending_tick_open_ = false;
   pending_samples_.clear();
+  call_id_ = 0;
+  reply_.reset();
   next_req_id_ = 1;
 }
 
@@ -143,33 +157,16 @@ void Client::resubscribe(int response_timeout_ms) {
   // `response_timeout_ms` budgets the WHOLE batch, not each
   // subscription — a caller with a deadline (append_retry) must not
   // wait subscriptions x budget against a stalling server.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(response_timeout_ms);
-  const auto remaining_ms = [&deadline] {
-    return static_cast<int>(std::max<std::int64_t>(
-        1, std::chrono::duration_cast<std::chrono::milliseconds>(
-               deadline - std::chrono::steady_clock::now())
-               .count()));
-  };
-  for (const svc::GroupId gid : std::vector<svc::GroupId>(
-           watched_gids_.begin(), watched_gids_.end())) {
-    const std::uint64_t id = next_req_id_++;
-    out_.clear();
-    encode_request(out_, MsgType::kWatch, id, gid);
-    (void)call_encoded(MsgType::kWatch, id, remaining_ms());
+  const auto deadline = deadline_after(response_timeout_ms);
+  for (const svc::GroupId gid : watched_gids_) {
+    (void)call(MsgType::kWatch, gid, std::max(1, ms_until(deadline)));
   }
-  for (const svc::GroupId gid : std::vector<svc::GroupId>(
-           commit_watched_gids_.begin(), commit_watched_gids_.end())) {
-    const std::uint64_t id = next_req_id_++;
-    out_.clear();
-    encode_request(out_, MsgType::kCommitWatch, id, gid);
-    (void)call_encoded(MsgType::kCommitWatch, id, remaining_ms());
+  for (const svc::GroupId gid : commit_watched_gids_) {
+    (void)call(MsgType::kCommitWatch, gid, std::max(1, ms_until(deadline)));
   }
   if (metrics_watched_) {
-    const std::uint64_t id = next_req_id_++;
-    out_.clear();
-    encode_request(out_, MsgType::kMetricsWatch, id, std::nullopt);
-    (void)call_encoded(MsgType::kMetricsWatch, id, remaining_ms());
+    (void)call(MsgType::kMetricsWatch, std::nullopt,
+               std::max(1, ms_until(deadline)));
   }
 }
 
@@ -200,15 +197,9 @@ void Client::send_all(const std::uint8_t* data, std::size_t len) {
 bool Client::fill(int timeout_ms) {
   // EINTR (a signal in the host application) must consume budget, not
   // fabricate a timeout: retry with the remaining time until the deadline.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
+  const auto deadline = deadline_after(timeout_ms);
   for (;;) {
-    const auto now = std::chrono::steady_clock::now();
-    const int remaining = std::max<int>(
-        0, static_cast<int>(
-               std::chrono::duration_cast<std::chrono::milliseconds>(
-                   deadline - now)
-                   .count()));
+    const int remaining = std::max(0, ms_until(deadline));
     pollfd pfd{fd_, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, remaining);
     if (rc < 0) {
@@ -234,102 +225,179 @@ bool Client::fill(int timeout_ms) {
   }
 }
 
-std::optional<Frame> Client::pop_frame() {
+std::optional<Response> Client::pop_frame() {
   const std::uint8_t* payload = nullptr;
   std::size_t len = 0;
   if (!in_.next(payload, len)) return std::nullopt;
-  Frame f;
-  if (decode_payload(payload, len, f) != DecodeResult::kOk) {
+  Response f;
+  if (decode_response(payload, len, f) != DecodeResult::kOk) {
+    close();
     throw NetError("malformed frame from server");
   }
   return f;
 }
 
-bool Client::queue_event(const Frame& f) {
+bool Client::queue_event(const Response& f) {
   Event e;
-  if (f.header.type == MsgType::kEvent) {
-    e.kind = Event::Kind::kLeaderChange;
-    e.gid = f.view.gid;
-    e.view = svc::LeaderView{f.view.leader, f.view.epoch};
-  } else if (f.header.type == MsgType::kCommitEvent) {
-    e.kind = Event::Kind::kCommit;
-    e.gid = f.commit.gid;
-    e.index = f.commit.index;
-    e.value = f.commit.value;
-    e.trace = f.commit.trace;
-  } else if (f.header.type == MsgType::kMetricsEvent) {
-    // One sampler tick arrives as 1..n pages sharing a tick number; only
-    // a complete tick becomes an event. A page whose head we never saw
-    // (subscribed mid-tick, or the head fell to the event-queue cap on
-    // the server) is swallowed — the next tick starts clean at start=0.
-    const MetricsEventBody& p = f.metrics_event;
-    if (p.start == 0) {
-      pending_tick_open_ = true;
-      pending_tick_ = p.tick;
-      pending_health_ = p.health;
-      pending_samples_.clear();
-    } else if (!pending_tick_open_ || p.tick != pending_tick_) {
-      return true;
+  switch (f.header.type) {
+    case MsgType::kEvent: {
+      const ViewBody& v = std::get<ViewBody>(f.body);
+      e.kind = Event::Kind::kLeaderChange;
+      e.gid = v.gid;
+      e.view = svc::LeaderView{v.leader, v.epoch};
+      break;
     }
-    pending_samples_.insert(pending_samples_.end(), p.metrics.begin(),
-                            p.metrics.end());
-    if (p.start + p.metrics.size() < p.total) return true;
-    pending_tick_open_ = false;
-    e.kind = Event::Kind::kMetricsTick;
-    e.tick = pending_tick_;
-    e.health = pending_health_;
-    e.samples = std::move(pending_samples_);
-    pending_samples_.clear();
-  } else {
-    return false;
+    case MsgType::kCommitEvent: {
+      const CommitBody& c = std::get<CommitBody>(f.body);
+      e.kind = Event::Kind::kCommit;
+      e.gid = c.gid;
+      e.index = c.index;
+      e.value = c.value;
+      e.trace = c.trace;
+      break;
+    }
+    case MsgType::kMetricsEvent: {
+      // One sampler tick arrives as 1..n pages sharing a tick number; only
+      // a complete tick becomes an event. A page whose head we never saw
+      // (subscribed mid-tick, or the head fell to the event-queue cap on
+      // the server) is swallowed — the next tick starts clean at start=0.
+      const MetricsEventBody& p = std::get<MetricsEventBody>(f.body);
+      if (p.start == 0) {
+        pending_tick_open_ = true;
+        pending_tick_ = p.tick;
+        pending_health_ = p.health;
+        pending_samples_.clear();
+      } else if (!pending_tick_open_ || p.tick != pending_tick_) {
+        return true;
+      }
+      pending_samples_.insert(pending_samples_.end(), p.metrics.begin(),
+                              p.metrics.end());
+      if (p.start + p.metrics.size() < p.total) return true;
+      pending_tick_open_ = false;
+      e.kind = Event::Kind::kMetricsTick;
+      e.tick = pending_tick_;
+      e.health = pending_health_;
+      e.samples = std::move(pending_samples_);
+      pending_samples_.clear();
+      break;
+    }
+    default:
+      return false;
   }
   // A subscriber that issues requests without draining next_event() must
   // not grow memory forever (a busy commit watch pushes one event per
   // applied entry group-wide): keep the newest kMaxQueuedEvents, drop the
   // oldest. Consumers already resynchronize by epoch/index.
   if (events_.size() >= kMaxQueuedEvents) events_.pop_front();
-  events_.push_back(e);
+  events_.push_back(std::move(e));
   return true;
 }
 
-Frame Client::call(MsgType type, std::optional<WireGroupId> gid) {
+std::uint64_t Client::begin_request() {
   ensure_connected();
-  const std::uint64_t id = next_req_id_++;
   out_.clear();
-  encode_request(out_, type, id, gid);
-  return call_encoded(type, id);
+  return next_req_id_++;
 }
 
-bool Client::absorb(const Frame& f) {
+Response Client::call(MsgType type, std::optional<WireGroupId> gid,
+                      int response_timeout_ms) {
+  const std::uint64_t id = begin_request();
+  encode_request(out_, type, id, gid);
+  return call_encoded(type, id, response_timeout_ms);
+}
+
+bool Client::absorb(Response& f) {
   if (queue_event(f)) return true;
+  const std::uint64_t id = f.header.req_id;
   if (f.header.type == MsgType::kAppend &&
-      outstanding_appends_.erase(f.header.req_id) > 0) {
-    done_appends_.push_back(AsyncAppend{f.header.req_id, to_append_result(f)});
+      outstanding_appends_.erase(id) > 0) {
+    done_appends_.push_back(AsyncAppend{id, to_append_result(f)});
     return true;
   }
-  if (f.header.type == MsgType::kRead &&
-      outstanding_reads_.erase(f.header.req_id) > 0) {
-    done_reads_.push_back(AsyncRead{f.header.req_id, to_read_result(f)});
+  if (f.header.type == MsgType::kRead && outstanding_reads_.erase(id) > 0) {
+    done_reads_.push_back(AsyncRead{id, to_read_result(f)});
+    return true;
+  }
+  if (call_id_ != 0 && id == call_id_ && f.header.type == call_type_) {
+    call_id_ = 0;
+    reply_ = std::move(f);
     return true;
   }
   return false;
 }
 
-Client::AppendResult Client::to_append_result(const Frame& f) {
+template <class Done>
+bool Client::wait_until(std::chrono::steady_clock::time_point deadline,
+                        Done done) {
+  for (;;) {
+    while (std::optional<Response> f = pop_frame()) {
+      if (!absorb(*f)) {
+        // absorb() matches every live request — the blocking call's and
+        // each async one — so this frame answers nothing we asked (e.g. a
+        // late reply to a call that timed out): the stream cannot be
+        // resynchronized.
+        close();
+        throw NetError("response does not match any outstanding request");
+      }
+    }
+    if (done()) return true;
+    // A due deadline still polls the socket once, so a zero timeout
+    // drains what the kernel already holds.
+    const int left = ms_until(deadline);
+    if (left < 0 || !fill(left)) return false;
+  }
+}
+
+template <class T>
+std::optional<T> Client::pop_when_ready(std::deque<T>& q, int timeout_ms) {
+  // A timeout here is not a protocol failure: answers are matched by
+  // req_id whenever they do arrive, so the connection stays usable.
+  if (q.empty() &&
+      !wait_until(deadline_after(timeout_ms), [&q] { return !q.empty(); })) {
+    return std::nullopt;
+  }
+  T v = std::move(q.front());
+  q.pop_front();
+  return v;
+}
+
+template <class Async>
+Async Client::await_async(std::deque<Async>& done, std::uint64_t id,
+                          int timeout_ms) {
+  const auto find = [&done, id] {
+    return std::find_if(done.begin(), done.end(),
+                        [id](const Async& a) { return a.req_id == id; });
+  };
+  if (!wait_until(deadline_after(timeout_ms),
+                  [&] { return find() != done.end(); })) {
+    // The response may still arrive later and would desynchronize every
+    // subsequent call; a timed-out connection is only safe to abandon.
+    close();
+    throw NetError("timed out waiting for a response");
+  }
+  const auto it = find();
+  Async a = std::move(*it);
+  done.erase(it);
+  return a;
+}
+
+Client::AppendResult Client::to_append_result(const Response& f) {
+  const AppendRespBody& b = std::get<AppendRespBody>(f.body);
   AppendResult r;
   r.status = f.header.status;
-  r.index = f.append_resp.index;
-  r.view = svc::LeaderView{f.append_resp.leader, f.append_resp.epoch};
-  r.trace = f.append_resp.trace;
+  r.index = b.index;
+  r.view = svc::LeaderView{b.leader, b.epoch};
+  r.trace = b.trace;
   return r;
 }
 
-Client::ReadResult Client::to_read_result(const Frame& f) {
+Client::ReadResult Client::to_read_result(const Response& f) {
+  const ReadRespBody& b = std::get<ReadRespBody>(f.body);
   ReadResult r;
   r.status = f.header.status;
-  r.index = f.read_resp.index;
-  r.commit_index = f.read_resp.commit_index;
-  r.view = svc::LeaderView{f.read_resp.leader, f.read_resp.epoch};
+  r.index = b.index;
+  r.commit_index = b.commit_index;
+  r.view = svc::LeaderView{b.leader, b.epoch};
   return r;
 }
 
@@ -352,64 +420,56 @@ std::uint64_t Client::mint_trace_id() {
   return id;
 }
 
-Frame Client::call_encoded(MsgType type, std::uint64_t id,
-                           int response_timeout_ms) {
+Response Client::call_encoded(MsgType type, std::uint64_t id,
+                              int response_timeout_ms) {
   send_all(out_.data(), out_.size());
-
+  call_id_ = id;
+  call_type_ = type;
   // One deadline across every socket wait: interleaved pushes and async
-  // append acknowledgements must not extend the response budget.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(response_timeout_ms);
-  for (;;) {
-    while (std::optional<Frame> f = pop_frame()) {
-      if (absorb(*f)) continue;
-      if (f->header.req_id != id || f->header.type != type) {
-        // Request/response pairing is broken (e.g. a late reply to a
-        // call that previously timed out): the stream cannot be
-        // resynchronized, so don't leave a poisoned connection behind.
-        close();
-        throw NetError("response does not match the outstanding request");
-      }
-      return *f;
-    }
-    const int remaining = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now())
-            .count());
-    if (remaining <= 0 || !fill(remaining)) {
-      // The response may still arrive later and would desynchronize every
-      // subsequent call; a timed-out connection is only safe to abandon.
-      close();
-      throw NetError("timed out waiting for a response");
-    }
+  // acknowledgements must not extend the response budget.
+  if (!wait_until(deadline_after(response_timeout_ms),
+                  [this] { return reply_.has_value(); })) {
+    close();  // a late answer would desynchronize every later call
+    throw NetError("timed out waiting for a response");
   }
+  Response r = std::move(*reply_);
+  reply_.reset();
+  return r;
 }
 
+namespace {
+
+Client::Result view_result(const Response& f) {
+  const ViewBody& v = std::get<ViewBody>(f.body);
+  return Client::Result{f.header.status, v.gid,
+                        svc::LeaderView{v.leader, v.epoch}};
+}
+
+Client::Result gid_result(const Response& f) {
+  return Client::Result{f.header.status, std::get<GidBody>(f.body).gid,
+                        svc::LeaderView{}};
+}
+
+}  // namespace
+
 Client::Result Client::leader(svc::GroupId gid) {
-  const Frame f = call(MsgType::kLeader, gid);
-  return Result{f.header.status, f.view.gid,
-                svc::LeaderView{f.view.leader, f.view.epoch}};
+  return view_result(call(MsgType::kLeader, gid));
 }
 
 Client::Result Client::watch(svc::GroupId gid) {
-  const Frame f = call(MsgType::kWatch, gid);
-  if (f.header.status == Status::kOk) watched_gids_.insert(gid);
-  return Result{f.header.status, f.view.gid,
-                svc::LeaderView{f.view.leader, f.view.epoch}};
+  const Result r = view_result(call(MsgType::kWatch, gid));
+  if (r.ok()) watched_gids_.insert(gid);
+  return r;
 }
 
 Client::Result Client::unwatch(svc::GroupId gid) {
   watched_gids_.erase(gid);
-  const Frame f = call(MsgType::kUnwatch, gid);
-  return Result{f.header.status, f.view.gid,
-                svc::LeaderView{f.view.leader, f.view.epoch}};
+  return gid_result(call(MsgType::kUnwatch, gid));
 }
 
 std::uint64_t Client::append_async(svc::GroupId gid, std::uint64_t client,
                                    std::uint64_t seq, std::uint64_t command) {
-  ensure_connected();
-  const std::uint64_t id = next_req_id_++;
-  out_.clear();
+  const std::uint64_t id = begin_request();
   AppendReqBody req;
   req.gid = gid;
   req.client = client;
@@ -424,37 +484,10 @@ std::uint64_t Client::append_async(svc::GroupId gid, std::uint64_t client,
 
 std::optional<Client::AsyncAppend> Client::next_append_result(
     int timeout_ms) {
-  if (!done_appends_.empty()) {
-    const AsyncAppend a = done_appends_.front();
-    done_appends_.pop_front();
-    return a;
+  if (done_appends_.empty() && (fd_ < 0 || outstanding_appends_.empty())) {
+    return std::nullopt;
   }
-  if (fd_ < 0 || outstanding_appends_.empty()) return std::nullopt;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    while (std::optional<Frame> f = pop_frame()) {
-      if (!absorb(*f)) {
-        // No blocking request is outstanding here, so any non-push,
-        // non-append-answer frame means the stream is desynchronized.
-        close();
-        throw NetError("unexpected frame while draining append results");
-      }
-    }
-    if (!done_appends_.empty()) {
-      const AsyncAppend a = done_appends_.front();
-      done_appends_.pop_front();
-      return a;
-    }
-    const int remaining = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now())
-            .count());
-    // A timeout here is not a protocol failure: the answers are matched
-    // by req_id whenever they do arrive, so the connection stays usable.
-    if (remaining < 0) return std::nullopt;
-    if (!fill(remaining)) return std::nullopt;
-  }
+  return pop_when_ready(done_appends_, timeout_ms);
 }
 
 Client::AppendResult Client::append(svc::GroupId gid, std::uint64_t client,
@@ -462,35 +495,7 @@ Client::AppendResult Client::append(svc::GroupId gid, std::uint64_t client,
                                     int response_timeout_ms) {
   // The blocking form is the pipelined form plus "wait for this one".
   const std::uint64_t id = append_async(gid, client, seq, command);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(response_timeout_ms);
-  for (;;) {
-    while (std::optional<Frame> f = pop_frame()) {
-      if (absorb(*f)) continue;
-      // absorb() matched every live async id (including ours), so this
-      // frame answers nothing we asked: the stream cannot be
-      // resynchronized.
-      close();
-      throw NetError("response does not match the outstanding request");
-    }
-    for (auto it = done_appends_.begin(); it != done_appends_.end(); ++it) {
-      if (it->req_id == id) {
-        const AppendResult r = it->result;
-        done_appends_.erase(it);
-        return r;
-      }
-    }
-    const int remaining = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now())
-            .count());
-    if (remaining <= 0 || !fill(remaining)) {
-      // The response may still arrive later and would desynchronize every
-      // subsequent call; a timed-out connection is only safe to abandon.
-      close();
-      throw NetError("timed out waiting for a response");
-    }
-  }
+  return await_async(done_appends_, id, response_timeout_ms).result;
 }
 
 Client::AppendResult Client::append_retry(svc::GroupId gid,
@@ -498,14 +503,10 @@ Client::AppendResult Client::append_retry(svc::GroupId gid,
                                           std::uint64_t seq,
                                           std::uint64_t command,
                                           int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
+  const auto deadline = deadline_after(timeout_ms);
   std::string last_error = "append timed out";
   for (int attempt = 0;; ++attempt) {
-    const int remaining = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now())
-            .count());
+    const int remaining = ms_until(deadline);
     if (remaining <= 0) throw NetError("append_retry: " + last_error);
     try {
       // Redial here — one bounded attempt per loop iteration — rather
@@ -550,10 +551,7 @@ Client::AppendResult Client::append_retry(svc::GroupId gid,
       if (!auto_reconnect_) throw;
       last_error = e.what();
     }
-    const int left = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now())
-            .count());
+    const int left = ms_until(deadline);
     if (left <= 0) throw NetError("append_retry: " + last_error);
     std::this_thread::sleep_for(std::chrono::milliseconds(
         std::min(left, backoff_ms(policy_, attempt, backoff_rng_))));
@@ -562,9 +560,7 @@ Client::AppendResult Client::append_retry(svc::GroupId gid,
 
 std::uint64_t Client::read_async(svc::GroupId gid, std::uint64_t key,
                                  std::uint64_t min_index) {
-  ensure_connected();
-  const std::uint64_t id = next_req_id_++;
-  out_.clear();
+  const std::uint64_t id = begin_request();
   ReadReqBody req;
   req.gid = gid;
   req.key = key;
@@ -576,35 +572,10 @@ std::uint64_t Client::read_async(svc::GroupId gid, std::uint64_t key,
 }
 
 std::optional<Client::AsyncRead> Client::next_read_result(int timeout_ms) {
-  if (!done_reads_.empty()) {
-    const AsyncRead a = done_reads_.front();
-    done_reads_.pop_front();
-    return a;
+  if (done_reads_.empty() && (fd_ < 0 || outstanding_reads_.empty())) {
+    return std::nullopt;
   }
-  if (fd_ < 0 || outstanding_reads_.empty()) return std::nullopt;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    while (std::optional<Frame> f = pop_frame()) {
-      if (!absorb(*f)) {
-        close();
-        throw NetError("unexpected frame while draining read results");
-      }
-    }
-    if (!done_reads_.empty()) {
-      const AsyncRead a = done_reads_.front();
-      done_reads_.pop_front();
-      return a;
-    }
-    const int remaining = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now())
-            .count());
-    // As with appends: a timeout is not a protocol failure — the answer
-    // is matched by req_id whenever it arrives.
-    if (remaining < 0) return std::nullopt;
-    if (!fill(remaining)) return std::nullopt;
-  }
+  return pop_when_ready(done_reads_, timeout_ms);
 }
 
 Client::ReadResult Client::read(svc::GroupId gid, std::uint64_t key,
@@ -612,48 +583,24 @@ Client::ReadResult Client::read(svc::GroupId gid, std::uint64_t key,
                                 int response_timeout_ms) {
   // The blocking form is the pipelined form plus "wait for this one".
   const std::uint64_t id = read_async(gid, key, min_index);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(response_timeout_ms);
-  for (;;) {
-    while (std::optional<Frame> f = pop_frame()) {
-      if (absorb(*f)) continue;
-      close();
-      throw NetError("response does not match the outstanding request");
-    }
-    for (auto it = done_reads_.begin(); it != done_reads_.end(); ++it) {
-      if (it->req_id == id) {
-        const ReadResult r = it->result;
-        done_reads_.erase(it);
-        return r;
-      }
-    }
-    const int remaining = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now())
-            .count());
-    if (remaining <= 0 || !fill(remaining)) {
-      close();
-      throw NetError("timed out waiting for a response");
-    }
-  }
+  return await_async(done_reads_, id, response_timeout_ms).result;
 }
 
 Client::LogView Client::read_log(svc::GroupId gid, std::uint64_t from,
                                  std::uint32_t max) {
-  ensure_connected();
-  const std::uint64_t id = next_req_id_++;
-  out_.clear();
+  const std::uint64_t id = begin_request();
   ReadLogReqBody req;
   req.gid = gid;
   req.from = from;
   req.max = max;
   encode_readlog_request(out_, id, req);
-  const Frame f = call_encoded(MsgType::kReadLog, id);
+  Response f = call_encoded(MsgType::kReadLog, id);
   LogView v;
   v.status = f.header.status;
   if (f.header.status == Status::kOk) {
-    v.commit_index = f.readlog_resp.commit_index;
-    v.entries = f.readlog_resp.entries;
+    ReadLogRespBody& page = std::get<ReadLogRespBody>(f.body);
+    v.commit_index = page.commit_index;
+    v.entries = std::move(page.entries);
   }
   return v;
 }
@@ -680,46 +627,37 @@ Client::LogView Client::read_log_all(svc::GroupId gid,
 }
 
 Client::AppendResult Client::commit_watch(svc::GroupId gid) {
-  const Frame f = call(MsgType::kCommitWatch, gid);
+  const Response f = call(MsgType::kCommitWatch, gid);
   if (f.header.status == Status::kOk) commit_watched_gids_.insert(gid);
   AppendResult r;
   r.status = f.header.status;
-  r.index = f.commit.index;  // commit-index snapshot
+  r.index = std::get<CommitBody>(f.body).index;  // commit-index snapshot
   return r;
 }
 
 Client::Result Client::commit_unwatch(svc::GroupId gid) {
   commit_watched_gids_.erase(gid);
-  const Frame f = call(MsgType::kCommitUnwatch, gid);
-  return Result{f.header.status, f.commit.gid, svc::LeaderView{}};
+  return gid_result(call(MsgType::kCommitUnwatch, gid));
 }
 
 Client::SessionInfo Client::open_session(svc::GroupId gid,
                                          std::uint64_t client) {
-  ensure_connected();
-  const std::uint64_t id = next_req_id_++;
-  out_.clear();
-  encode_session_open(out_, Status::kOk, id, gid, client);
-  const Frame f = call_encoded(MsgType::kSessionOpen, id);
+  const std::uint64_t id = begin_request();
+  encode_session_open_request(out_, id, SessionOpenReqBody{gid, client});
+  const Response f = call_encoded(MsgType::kSessionOpen, id);
   SessionInfo info;
   info.status = f.header.status;
   if (f.header.status == Status::kOk) {
-    info.ttl_us = static_cast<std::int64_t>(f.session.ttl_us);
+    info.ttl_us =
+        static_cast<std::int64_t>(std::get<SessionOpenRespBody>(f.body).ttl_us);
   }
   return info;
 }
 
 void Client::ping() {
-  const Frame f = call(MsgType::kPing, std::nullopt);
-  if (f.header.status != Status::kOk) throw NetError("ping rejected");
-}
-
-StatsBody Client::stats() {
-  const Frame f = call(MsgType::kStats, std::nullopt);
-  if (f.header.status != Status::kOk || !f.has_body) {
-    throw NetError("stats rejected");
+  if (call(MsgType::kPing, std::nullopt).header.status != Status::kOk) {
+    throw NetError("ping rejected");
   }
-  return f.stats;
 }
 
 const obs::MetricSample* Client::MetricsResult::find(
@@ -730,6 +668,21 @@ const obs::MetricSample* Client::MetricsResult::find(
   return nullptr;
 }
 
+template <class Page, class Take>
+Status Client::page_through(MsgType type, Take take) {
+  for (std::uint32_t start = 0;;) {
+    const std::uint64_t id = begin_request();
+    encode_page_request(out_, type, id, start);
+    const Response f = call_encoded(type, id);
+    if (f.header.status != Status::kOk) return f.header.status;
+    const Page& page = std::get<Page>(f.body);
+    const auto count = static_cast<std::uint32_t>(take(page));
+    // An empty page below total would loop forever — treat it as done.
+    if (count == 0 || page.start + count >= page.total) return Status::kOk;
+    start = page.start + count;
+  }
+}
+
 Client::MetricsResult Client::metrics() {
   MetricsResult r;
   // Each page re-scrapes the name-sorted registry, so a metric registering
@@ -738,62 +691,34 @@ Client::MetricsResult Client::metrics() {
   // fresher — sample; a shift can still drop a name from this scrape, which
   // the next scrape picks up.
   std::unordered_map<std::string, std::size_t> by_name;
-  std::uint32_t start = 0;
-  for (;;) {
-    ensure_connected();
-    const std::uint64_t id = next_req_id_++;
-    out_.clear();
-    encode_metrics_request(out_, id, MetricsReqBody{start});
-    const Frame f = call_encoded(MsgType::kMetrics, id);
-    r.status = f.header.status;
-    if (f.header.status != Status::kOk) return r;
-    if (!f.has_metrics_resp) throw NetError("metrics response without body");
-    const MetricsRespBody& page = f.metrics_resp;
-    r.node = page.node;
-    for (const obs::MetricSample& m : page.metrics) {
-      const auto [it, fresh] = by_name.emplace(m.name, r.metrics.size());
-      if (fresh) {
-        r.metrics.push_back(m);
-      } else {
-        r.metrics[it->second] = m;
-      }
-    }
-    const std::uint32_t count =
-        static_cast<std::uint32_t>(page.metrics.size());
-    // The registry only ever grows, so pages never shrink `total`; an
-    // empty page below total would loop forever — treat it as done.
-    if (count == 0 || page.start + count >= page.total) return r;
-    start = page.start + count;
-  }
+  r.status = page_through<MetricsRespBody>(
+      MsgType::kMetrics, [&](const MetricsRespBody& page) {
+        r.node = page.node;
+        for (const obs::MetricSample& m : page.metrics) {
+          const auto [it, fresh] = by_name.emplace(m.name, r.metrics.size());
+          if (fresh) {
+            r.metrics.push_back(m);
+          } else {
+            r.metrics[it->second] = m;
+          }
+        }
+        return page.metrics.size();
+      });
+  return r;
 }
 
 Client::TraceDumpResult Client::trace_dump() {
   TraceDumpResult r;
-  std::uint32_t start = 0;
-  for (;;) {
-    ensure_connected();
-    const std::uint64_t id = next_req_id_++;
-    out_.clear();
-    encode_trace_dump_request(out_, id, TraceDumpReqBody{start});
-    const Frame f = call_encoded(MsgType::kTraceDump, id);
-    r.status = f.header.status;
-    if (f.header.status != Status::kOk) return r;
-    if (!f.has_trace_resp) {
-      throw NetError("trace dump response without body");
-    }
-    const TraceDumpRespBody& page = f.trace_resp;
-    r.realtime_offset_ns = page.realtime_offset_ns;
-    r.records.insert(r.records.end(), page.records.begin(),
-                     page.records.end());
-    const std::uint32_t count =
-        static_cast<std::uint32_t>(page.records.size());
-    // Rings churn between pages; the server pages newest-first over a
-    // fresh harvest each time, so drift repeats records rather than
-    // skipping them. An empty page below total would loop forever —
-    // treat it as done.
-    if (count == 0 || page.start + count >= page.total) break;
-    start = page.start + count;
-  }
+  // Rings churn between pages; the server pages newest-first over a fresh
+  // harvest each time, so drift repeats records rather than skipping them.
+  r.status = page_through<TraceDumpRespBody>(
+      MsgType::kTraceDump, [&](const TraceDumpRespBody& page) {
+        r.realtime_offset_ns = page.realtime_offset_ns;
+        r.records.insert(r.records.end(), page.records.begin(),
+                         page.records.end());
+        return page.records.size();
+      });
+  if (r.status != Status::kOk) return r;
   // Merge onto the timeline: sort oldest-first and drop the exact
   // duplicates the page overlap produced.
   const auto as_tuple = [](const obs::TraceRecord& t) {
@@ -814,59 +739,31 @@ Client::TraceDumpResult Client::trace_dump() {
 }
 
 Client::HealthResult Client::health() {
-  const Frame f = call(MsgType::kHealth, std::nullopt);
+  Response f = call(MsgType::kHealth, std::nullopt);
   HealthResult r;
   r.status = f.header.status;
   if (f.header.status != Status::kOk) return r;
-  if (!f.has_health_resp) throw NetError("health response without body");
-  r.overall = f.health_resp.overall;
-  r.ticks = f.health_resp.ticks;
-  r.rules_total = f.health_resp.rules_total;
-  r.firing = f.health_resp.firing;
+  HealthRespBody& b = std::get<HealthRespBody>(f.body);
+  r.overall = b.overall;
+  r.ticks = b.ticks;
+  r.rules_total = b.rules_total;
+  r.firing = std::move(b.firing);
   return r;
 }
 
 Client::MetricsWatchResult Client::metrics_watch() {
-  const Frame f = call(MsgType::kMetricsWatch, std::nullopt);
+  const Response f = call(MsgType::kMetricsWatch, std::nullopt);
   MetricsWatchResult r;
   r.status = f.header.status;
   if (f.header.status != Status::kOk) return r;
-  r.period_ms = f.metrics_watch.period_ms;
+  r.period_ms = std::get<MetricsWatchRespBody>(f.body).period_ms;
   metrics_watched_ = true;
   return r;
 }
 
 std::optional<Client::Event> Client::next_event(int timeout_ms) {
-  if (!events_.empty()) {
-    const Event e = events_.front();
-    events_.pop_front();
-    return e;
-  }
-  if (fd_ < 0) throw NetError("not connected");
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    while (std::optional<Frame> f = pop_frame()) {
-      if (!absorb(*f)) {
-        // A non-event, non-append frame with no outstanding request is a
-        // protocol bug.
-        throw NetError("unexpected response frame while waiting for events");
-      }
-      if (!events_.empty()) {
-        const Event e = events_.front();
-        events_.pop_front();
-        return e;
-      }
-    }
-    const auto now = std::chrono::steady_clock::now();
-    const int remaining = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-            .count());
-    if (remaining <= 0) return std::nullopt;
-    if (!fill(remaining)) {
-      if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
-    }
-  }
+  if (events_.empty() && fd_ < 0) throw NetError("not connected");
+  return pop_when_ready(events_, timeout_ms);
 }
 
 ReadRouter::ReadRouter(std::vector<Endpoint> endpoints)

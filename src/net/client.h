@@ -41,6 +41,7 @@
 // server is gone" from "the server said no".
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -86,8 +87,8 @@ class Client {
 
   /// One server push: an epoch transition (kLeaderChange, `view` valid),
   /// an applied log entry (kCommit, `index`/`value` valid; `trace` is
-  /// the originating append's v1.4 trace id, 0 when untraced or pushed
-  /// by a pre-v1.4 server), or one complete sampler tick (kMetricsTick,
+  /// the originating append's trace id, 0 when untraced), or one
+  /// complete sampler tick (kMetricsTick,
   /// `tick`/`health`/`samples` valid — multi-page METRICS_EVENT pushes
   /// are reassembled here and surface as one event per tick).
   struct Event {
@@ -108,9 +109,8 @@ class Client {
     Status status = Status::kOk;
     std::uint64_t index = 0;  ///< commit position (kOk only)
     svc::LeaderView view;     ///< leader hint (kNotLeader redirects)
-    /// The trace id this client minted for the append, echoed by v1.4
-    /// servers (0 from older servers). Join key for trace_dump() records
-    /// and commit events.
+    /// The trace id this client minted for the append, echoed by the
+    /// server. Join key for trace_dump() records and commit events.
     std::uint64_t trace = 0;
 
     bool ok() const noexcept { return status == Status::kOk; }
@@ -175,7 +175,7 @@ class Client {
   /// returns its req_id. Any number may be outstanding; the server
   /// answers each when its command commits (or is rejected). Every
   /// submission mints a fresh non-zero 64-bit trace id that rides the
-  /// v1.4 request and comes back on the acknowledgement
+  /// request and comes back on the acknowledgement
   /// (AppendResult::trace) and the commit event — the join key for
   /// cross-process timeline stitching.
   std::uint64_t append_async(svc::GroupId gid, std::uint64_t client,
@@ -296,14 +296,11 @@ class Client {
   /// Round-trip liveness probe.
   void ping();
 
-  StatsBody stats();
-
   /// A complete METRICS scrape (all pages merged).
   struct MetricsResult {
     Status status = Status::kOk;
-    /// The serving node's identity (v1.5 trailer); kNoNodeId from
-    /// single-node servers and pre-v1.5 peers. Lets a scraper that
-    /// merges several endpoints label each sample set.
+    /// The serving node's identity; kNoNodeId from single-node servers.
+    /// Lets a scraper that merges several endpoints label each sample set.
     std::uint32_t node = kNoNodeId;
     std::vector<obs::MetricSample> metrics;
 
@@ -346,7 +343,7 @@ class Client {
   };
 
   /// One HEALTH round-trip. kUnsupported from servers running without a
-  /// sampler (and pre-v1.5 servers).
+  /// sampler.
   HealthResult health();
 
   /// METRICS_WATCH answer: the sampler period the pushes will arrive at.
@@ -367,16 +364,19 @@ class Client {
   std::optional<Event> next_event(int timeout_ms);
 
  private:
-  /// Sends the request and reads frames until the response with `id`
-  /// arrives; events encountered on the way are queued.
-  Frame call(MsgType type, std::optional<WireGroupId> gid);
-  /// Same loop for a pre-encoded request in out_ (APPEND/READ_LOG);
-  /// `response_timeout_ms` bounds the wait (append_retry passes its
-  /// remaining budget).
-  Frame call_encoded(MsgType type, std::uint64_t id,
-                     int response_timeout_ms = kResponseTimeoutMs);
+  /// Sends the request and waits for its response; pushes and async
+  /// answers arriving first are queued.
+  Response call(MsgType type, std::optional<WireGroupId> gid,
+                int response_timeout_ms = kResponseTimeoutMs);
+  /// Same for a request already encoded in out_; `response_timeout_ms`
+  /// bounds the wait (append_retry passes its remaining budget). Closes
+  /// the connection and throws on timeout.
+  Response call_encoded(MsgType type, std::uint64_t id,
+                        int response_timeout_ms = kResponseTimeoutMs);
   /// Redials if auto-reconnect is on and the connection is down.
   void ensure_connected();
+  /// Starts a request: connected, out_ empty; returns its fresh req_id.
+  std::uint64_t begin_request();
   /// Re-issues every tracked WATCH/COMMIT_WATCH on a fresh connection;
   /// each snapshot wait is bounded by `response_timeout_ms` so callers
   /// with a budget (append_retry) can clamp the whole redial.
@@ -389,16 +389,34 @@ class Client {
   /// Returns false on timeout; throws on EOF/error.
   bool fill(int timeout_ms);
   /// Pops the next complete frame out of the decoder, if any.
-  std::optional<Frame> pop_frame();
+  std::optional<Response> pop_frame();
   /// Queues a pushed frame; true if `f` was one.
-  bool queue_event(const Frame& f);
-  /// Absorbs a frame that is not the current blocking call's response:
-  /// pushed events and answers to outstanding async appends are queued;
-  /// returns false if the frame is neither (the caller decides whether
-  /// that is its response or a desync).
-  bool absorb(const Frame& f);
-  static AppendResult to_append_result(const Frame& f);
-  static ReadResult to_read_result(const Frame& f);
+  bool queue_event(const Response& f);
+  /// Files a received frame: pushes into events_, async answers into
+  /// done_appends_/done_reads_, the blocking call's answer into reply_.
+  /// False if the frame answers nothing outstanding (a desync).
+  bool absorb(Response& f);
+  /// The one wait loop: absorbs frames until `done()` holds (true) or
+  /// `deadline` passes (false). Throws, closing the connection, on a
+  /// frame absorb() cannot place.
+  template <class Done>
+  bool wait_until(std::chrono::steady_clock::time_point deadline, Done done);
+  /// Pops the front of `q`, waiting up to `timeout_ms` for one to arrive;
+  /// nullopt on timeout (the connection stays usable).
+  template <class T>
+  std::optional<T> pop_when_ready(std::deque<T>& q, int timeout_ms);
+  /// Waits for the async answer `id` to land in `done` and takes it;
+  /// closes the connection and throws on timeout.
+  template <class Async>
+  Async await_async(std::deque<Async>& done, std::uint64_t id,
+                    int timeout_ms);
+  /// Requests the METRICS or TRACE_DUMP pages of one scrape in turn,
+  /// handing each to `take` (which returns its record count), until the
+  /// scrape's total is covered. Returns the first non-kOk status.
+  template <class Page, class Take>
+  Status page_through(MsgType type, Take take);
+  static AppendResult to_append_result(const Response& f);
+  static ReadResult to_read_result(const Response& f);
 
   /// Mints the next non-zero trace id (splitmix64 over a per-client
   /// salt), remembered in last_trace_.
@@ -415,6 +433,10 @@ class Client {
   std::deque<AsyncAppend> done_appends_;
   std::unordered_set<std::uint64_t> outstanding_reads_;
   std::deque<AsyncRead> done_reads_;
+  /// The blocking call in flight (id 0 = none) and its answer once seen.
+  std::uint64_t call_id_ = 0;
+  MsgType call_type_ = MsgType::kPing;
+  std::optional<Response> reply_;
   /// Live subscriptions, by channel — re-issued after every reconnect.
   std::unordered_set<svc::GroupId> watched_gids_;
   std::unordered_set<svc::GroupId> commit_watched_gids_;

@@ -1,116 +1,255 @@
 #include "net/frame.h"
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 
 #include "common/check.h"
 
 namespace omega::net {
 namespace {
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+/// Appends `v` little-endian in sizeof(T) bytes (enums by their value).
+template <class T>
+void put_le(std::vector<std::uint8_t>& out, T v) {
+  std::uint64_t u = 0;
+  if constexpr (std::is_enum_v<T>) {
+    u = static_cast<std::uint64_t>(static_cast<std::underlying_type_t<T>>(v));
+  } else {
+    u = static_cast<std::uint64_t>(v);
+  }
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out.push_back(static_cast<std::uint8_t>(u >> (8 * i)));
+  }
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+template <class T>
+T get_le(const std::uint8_t* p) {
+  std::uint64_t u = 0;
+  for (std::size_t i = sizeof(T); i-- > 0;) u = u << 8 | p[i];
+  return static_cast<T>(u);
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
+/// A fixed-layout body described once, as its list of fields in wire
+/// order: the same list drives encode, decode and the body length.
+template <class B, auto... Fields>
+struct Fixed {
+  static constexpr std::size_t kBytes =
+      (sizeof(std::declval<const B&>().*Fields) + ...);
 
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
+  static void put(std::vector<std::uint8_t>& out, const B& b) {
+    (put_le(out, b.*Fields), ...);
+  }
 
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         static_cast<std::uint64_t>(get_u32(p + 4)) << 32;
-}
+  static B get(const std::uint8_t* p) {
+    B b;
+    ((b.*Fields = get_le<std::remove_cvref_t<decltype(b.*Fields)>>(p),
+      p += sizeof(b.*Fields)),
+     ...);
+    return b;
+  }
+};
+
+using GidL = Fixed<GidBody, &GidBody::gid>;
+using ViewL = Fixed<ViewBody, &ViewBody::gid, &ViewBody::leader,
+                    &ViewBody::epoch>;
+using AppendReqL =
+    Fixed<AppendReqBody, &AppendReqBody::gid, &AppendReqBody::client,
+          &AppendReqBody::seq, &AppendReqBody::command, &AppendReqBody::trace>;
+using AppendRespL =
+    Fixed<AppendRespBody, &AppendRespBody::gid, &AppendRespBody::index,
+          &AppendRespBody::leader, &AppendRespBody::epoch,
+          &AppendRespBody::trace>;
+using ReadLogReqL = Fixed<ReadLogReqBody, &ReadLogReqBody::gid,
+                          &ReadLogReqBody::from, &ReadLogReqBody::max>;
+using CommitSnapshotL = Fixed<CommitBody, &CommitBody::gid, &CommitBody::index>;
+using CommitEventL = Fixed<CommitBody, &CommitBody::gid, &CommitBody::index,
+                           &CommitBody::value, &CommitBody::trace>;
+using RegHelloL = Fixed<RegHelloBody, &RegHelloBody::node>;
+using RegAckL = Fixed<RegAckBody, &RegAckBody::seq>;
+using SessionReqL = Fixed<SessionOpenReqBody, &SessionOpenReqBody::gid,
+                          &SessionOpenReqBody::client>;
+using SessionRespL = Fixed<SessionOpenRespBody, &SessionOpenRespBody::gid,
+                           &SessionOpenRespBody::ttl_us>;
+using PageReqL = Fixed<PageReqBody, &PageReqBody::start>;
+using MetricsWatchL =
+    Fixed<MetricsWatchRespBody, &MetricsWatchRespBody::period_ms>;
+using ReadReqL = Fixed<ReadReqBody, &ReadReqBody::gid, &ReadReqBody::key,
+                       &ReadReqBody::min_index>;
+using ReadRespL =
+    Fixed<ReadRespBody, &ReadRespBody::gid, &ReadRespBody::key,
+          &ReadRespBody::index, &ReadRespBody::commit_index,
+          &ReadRespBody::leader, &ReadRespBody::epoch>;
+using TraceRecordL =
+    Fixed<obs::TraceRecord, &obs::TraceRecord::ts_ns,
+          &obs::TraceRecord::thread, &obs::TraceRecord::ev,
+          &obs::TraceRecord::a, &obs::TraceRecord::b,
+          &obs::TraceRecord::trace_lo, &obs::TraceRecord::trace_hi>;
+static_assert(TraceRecordL::kBytes == kTraceRecordWireBytes);
+
+/// Smallest metric record: kind | name_len | value | sum | nbuckets.
+constexpr std::size_t kMinMetricBytes = 1 + 1 + 8 + 8 + 1;
+/// Smallest health rule: status | two empty length-prefixed strings.
+constexpr std::size_t kMinRuleBytes = 3;
 
 /// Reserves the length prefix, returns its offset for patching.
 std::size_t begin_frame(std::vector<std::uint8_t>& out,
                         const FrameHeader& h) {
   const std::size_t len_at = out.size();
-  put_u32(out, 0);  // patched by end_frame
-  put_u8(out, kMagic);
-  put_u8(out, kVersion);
-  put_u8(out, static_cast<std::uint8_t>(h.type));
-  put_u8(out, static_cast<std::uint8_t>(h.status));
-  put_u64(out, h.req_id);
+  put_le<std::uint32_t>(out, 0);  // patched by end_frame
+  put_le<std::uint8_t>(out, kMagic);
+  put_le<std::uint8_t>(out, kVersion);
+  put_le(out, h.type);
+  put_le(out, h.status);
+  put_le<std::uint64_t>(out, h.req_id);
   return len_at;
 }
 
 void end_frame(std::vector<std::uint8_t>& out, std::size_t len_at) {
-  const std::uint32_t payload_len =
-      static_cast<std::uint32_t>(out.size() - len_at - 4);
-  out[len_at + 0] = static_cast<std::uint8_t>(payload_len);
-  out[len_at + 1] = static_cast<std::uint8_t>(payload_len >> 8);
-  out[len_at + 2] = static_cast<std::uint8_t>(payload_len >> 16);
-  out[len_at + 3] = static_cast<std::uint8_t>(payload_len >> 24);
+  const std::size_t payload_len = out.size() - len_at - 4;
+  OMEGA_CHECK(payload_len <= kMaxPayloadBytes,
+              "frame overflows the payload cap: " << payload_len);
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[len_at + i] = static_cast<std::uint8_t>(payload_len >> (8 * i));
+  }
 }
 
-/// Appends one metric record (the kMetrics/kMetricsEvent shared format).
+template <class L, class B>
+void encode_fixed(std::vector<std::uint8_t>& out, MsgType type, Status status,
+                  std::uint64_t req_id, const B& body) {
+  const std::size_t at = begin_frame(out, FrameHeader{type, status, req_id});
+  L::put(out, body);
+  end_frame(out, at);
+}
+
+/// Appends one metric record (the METRICS/METRICS_EVENT shared format).
 void put_metric_record(std::vector<std::uint8_t>& out,
                        const obs::MetricSample& m) {
-  put_u8(out, static_cast<std::uint8_t>(m.kind));
+  put_le(out, m.kind);
   // Truncating here would make the scraped name differ from the registry
   // name (and let two long names collide into one record); the vocabulary
   // is static, so a too-long name is a programming error.
   OMEGA_CHECK(m.name.size() <= 255,
               "metric name exceeds wire limit: " << m.name);
-  put_u8(out, static_cast<std::uint8_t>(m.name.size()));
+  put_le<std::uint8_t>(out, m.name.size());
   out.insert(out.end(), m.name.begin(), m.name.end());
-  put_u64(out, static_cast<std::uint64_t>(m.value));
-  put_u64(out, m.sum);
+  put_le<std::uint64_t>(out, m.value);
+  put_le<std::uint64_t>(out, m.sum);
   OMEGA_CHECK(m.buckets.size() <= obs::kHistogramBuckets,
               "metric " << m.name << " has " << m.buckets.size()
                         << " buckets");
-  put_u8(out, static_cast<std::uint8_t>(m.buckets.size()));
+  put_le<std::uint8_t>(out, m.buckets.size());
   for (const auto& [b, n] : m.buckets) {
-    put_u8(out, b);
-    put_u64(out, n);
+    put_le<std::uint8_t>(out, b);
+    put_le<std::uint64_t>(out, n);
   }
-}
-
-/// Parses one metric record at `off`, advancing it. False = malformed.
-bool get_metric_record(const std::uint8_t* body, std::size_t body_len,
-                       std::size_t& off, obs::MetricSample& m) {
-  if (body_len < off + 2) return false;
-  m.kind = static_cast<obs::MetricSample::Kind>(body[off]);
-  const std::size_t name_len = body[off + 1];
-  off += 2;
-  if (body_len < off + name_len + 17) return false;
-  m.name.assign(reinterpret_cast<const char*>(body + off), name_len);
-  off += name_len;
-  m.value = static_cast<std::int64_t>(get_u64(body + off));
-  m.sum = get_u64(body + off + 8);
-  const std::size_t nbuckets = body[off + 16];
-  off += 17;
-  if (nbuckets > obs::kHistogramBuckets ||
-      body_len < off + nbuckets * 9) {
-    return false;
-  }
-  m.buckets.reserve(nbuckets);
-  for (std::size_t b = 0; b < nbuckets; ++b) {
-    m.buckets.emplace_back(body[off], get_u64(body + off + 1));
-    off += 9;
-  }
-  return true;
 }
 
 /// Appends a u8-length-prefixed string, truncated at 255 bytes.
 void put_short_string(std::vector<std::uint8_t>& out, const std::string& s) {
   const std::size_t n = std::min<std::size_t>(s.size(), 255);
-  put_u8(out, static_cast<std::uint8_t>(n));
+  put_le<std::uint8_t>(out, n);
   out.insert(out.end(), s.begin(), s.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+/// Bounds-checked cursor over a variable body: a read past the end yields
+/// zero and clears `ok`, so a decoder checks once, at the end.
+struct Reader {
+  const std::uint8_t* p;
+  std::size_t left;
+  bool ok = true;
+
+  /// The next `n` bytes, or nullptr when the body is shorter.
+  const std::uint8_t* bytes(std::size_t n) {
+    if (n > left) {
+      ok = false;
+      left = 0;
+      return nullptr;
+    }
+    const std::uint8_t* at = p;
+    p += n;
+    left -= n;
+    return at;
+  }
+  template <class T>
+  T take() {
+    const std::uint8_t* at = bytes(sizeof(T));
+    return at != nullptr ? get_le<T>(at) : T{};
+  }
+  std::string text() {
+    const std::size_t n = take<std::uint8_t>();
+    const std::uint8_t* at = bytes(n);
+    return at != nullptr ? std::string(reinterpret_cast<const char*>(at), n)
+                         : std::string();
+  }
+  /// True when every read fit and the body was consumed exactly.
+  bool done() const { return ok && left == 0; }
+};
+
+/// Sizes `out` by a wire-controlled record count, refusing counts above
+/// `max` or beyond what the body can hold at `min_bytes` per record —
+/// before anything is allocated.
+template <class Count, class T>
+bool take_count(Reader& r, std::size_t max, std::size_t min_bytes,
+                std::vector<T>& out) {
+  const std::size_t count = r.take<Count>();
+  if (!r.ok || count > max || count > r.left / min_bytes) return false;
+  out.resize(count);
+  return true;
+}
+
+/// Reads a u32-counted run of metric records.
+bool take_metrics(Reader& r, std::vector<obs::MetricSample>& out) {
+  if (!take_count<std::uint32_t>(r, kMaxPayloadBytes, kMinMetricBytes, out)) {
+    return false;
+  }
+  for (obs::MetricSample& m : out) {
+    m.kind = r.take<obs::MetricSample::Kind>();
+    m.name = r.text();
+    m.value = r.take<std::int64_t>();
+    m.sum = r.take<std::uint64_t>();
+    if (!take_count<std::uint8_t>(r, obs::kHistogramBuckets, 9, m.buckets)) {
+      return false;
+    }
+    for (auto& [b, n] : m.buckets) {
+      b = r.take<std::uint8_t>();
+      n = r.take<std::uint64_t>();
+    }
+  }
+  return r.ok;
+}
+
+template <class L, class Body>
+DecodeResult decode_fixed(const std::uint8_t* body, std::size_t n,
+                          Body& out) {
+  if (n != L::kBytes) return DecodeResult::kBadBody;
+  out = L::get(body);
+  return DecodeResult::kOk;
+}
+
+DecodeResult decode_empty(std::size_t n) {
+  return n == 0 ? DecodeResult::kOk : DecodeResult::kBadBody;
+}
+
+/// Applies `parse` to a fresh body; kOk only if it consumed every byte.
+template <class B, class Body, class Parse>
+DecodeResult decode_variable(const std::uint8_t* body, std::size_t n,
+                             Body& out, Parse parse) {
+  Reader r{body, n};
+  B b;
+  if (!parse(r, b) || !r.done()) return DecodeResult::kBadBody;
+  out = std::move(b);
+  return DecodeResult::kOk;
+}
+
+DecodeResult decode_header(const std::uint8_t* data, std::size_t len,
+                           FrameHeader& h) {
+  if (len < kHeaderBytes) return DecodeResult::kBadLength;
+  if (data[0] != kMagic || data[1] != kVersion) return DecodeResult::kBadMagic;
+  h.type = static_cast<MsgType>(data[2]);
+  h.status = static_cast<Status>(data[3]);
+  h.req_id = get_le<std::uint64_t>(data + 4);
+  return DecodeResult::kOk;
 }
 
 }  // namespace
@@ -119,127 +258,75 @@ void encode_request(std::vector<std::uint8_t>& out, MsgType type,
                     std::uint64_t req_id, std::optional<WireGroupId> gid) {
   const std::size_t at =
       begin_frame(out, FrameHeader{type, Status::kOk, req_id});
-  if (gid) put_u64(out, *gid);
+  if (gid) put_le<std::uint64_t>(out, *gid);
   end_frame(out, at);
 }
 
 void encode_view_frame(std::vector<std::uint8_t>& out, MsgType type,
                        Status status, std::uint64_t req_id,
                        const ViewBody& view) {
-  const std::size_t at = begin_frame(out, FrameHeader{type, status, req_id});
-  put_u64(out, view.gid);
-  put_u32(out, view.leader);
-  put_u64(out, view.epoch);
-  end_frame(out, at);
+  encode_fixed<ViewL>(out, type, status, req_id, view);
 }
 
 void encode_simple_response(std::vector<std::uint8_t>& out, MsgType type,
                             Status status, std::uint64_t req_id) {
-  const std::size_t at = begin_frame(out, FrameHeader{type, status, req_id});
-  end_frame(out, at);
+  end_frame(out, begin_frame(out, FrameHeader{type, status, req_id}));
 }
 
 void encode_gid_response(std::vector<std::uint8_t>& out, MsgType type,
                          Status status, std::uint64_t req_id,
                          WireGroupId gid) {
-  const std::size_t at = begin_frame(out, FrameHeader{type, status, req_id});
-  put_u64(out, gid);
-  end_frame(out, at);
-}
-
-void encode_stats_response(std::vector<std::uint8_t>& out,
-                           std::uint64_t req_id, const StatsBody& stats) {
-  const std::size_t at = begin_frame(
-      out, FrameHeader{MsgType::kStats, Status::kOk, req_id});
-  put_u64(out, stats.connections);
-  put_u64(out, stats.queries);
-  put_u64(out, stats.watches);
-  put_u64(out, stats.events);
-  put_u64(out, stats.groups);
-  put_u64(out, stats.io_threads);
-  put_u64(out, stats.appends);
-  put_u64(out, stats.commit_events);
-  put_u64(out, stats.log_reads);
-  end_frame(out, at);
+  encode_fixed<GidL>(out, type, status, req_id, GidBody{gid});
 }
 
 void encode_append_request(std::vector<std::uint8_t>& out,
                            std::uint64_t req_id, const AppendReqBody& body) {
-  const std::size_t at =
-      begin_frame(out, FrameHeader{MsgType::kAppend, Status::kOk, req_id});
-  put_u64(out, body.gid);
-  put_u64(out, body.client);
-  put_u64(out, body.seq);
-  put_u64(out, body.command);
-  put_u64(out, body.trace);
-  end_frame(out, at);
+  encode_fixed<AppendReqL>(out, MsgType::kAppend, Status::kOk, req_id, body);
 }
 
 void encode_append_response(std::vector<std::uint8_t>& out, Status status,
                             std::uint64_t req_id, const AppendRespBody& body) {
-  const std::size_t at =
-      begin_frame(out, FrameHeader{MsgType::kAppend, status, req_id});
-  put_u64(out, body.gid);
-  put_u64(out, body.index);
-  put_u32(out, body.leader);
-  put_u64(out, body.epoch);
-  put_u64(out, body.trace);
-  end_frame(out, at);
+  encode_fixed<AppendRespL>(out, MsgType::kAppend, status, req_id, body);
 }
 
 void encode_readlog_request(std::vector<std::uint8_t>& out,
                             std::uint64_t req_id, const ReadLogReqBody& body) {
-  const std::size_t at =
-      begin_frame(out, FrameHeader{MsgType::kReadLog, Status::kOk, req_id});
-  put_u64(out, body.gid);
-  put_u64(out, body.from);
-  put_u32(out, body.max);
-  end_frame(out, at);
+  encode_fixed<ReadLogReqL>(out, MsgType::kReadLog, Status::kOk, req_id, body);
 }
 
-void encode_readlog_response(std::vector<std::uint8_t>& out,
+void encode_readlog_response(std::vector<std::uint8_t>& out, Status status,
                              std::uint64_t req_id, WireGroupId gid,
                              std::uint64_t commit_index,
                              const std::vector<std::uint64_t>& entries) {
   OMEGA_CHECK(entries.size() <= kMaxLogEntries,
               "readlog page too large: " << entries.size());
   const std::size_t at =
-      begin_frame(out, FrameHeader{MsgType::kReadLog, Status::kOk, req_id});
-  put_u64(out, gid);
-  put_u64(out, commit_index);
-  put_u32(out, static_cast<std::uint32_t>(entries.size()));
-  for (const std::uint64_t v : entries) put_u64(out, v);
+      begin_frame(out, FrameHeader{MsgType::kReadLog, status, req_id});
+  put_le<std::uint64_t>(out, gid);
+  put_le<std::uint64_t>(out, commit_index);
+  put_le<std::uint32_t>(out, entries.size());
+  for (const std::uint64_t v : entries) put_le<std::uint64_t>(out, v);
   end_frame(out, at);
 }
 
 void encode_commit_snapshot(std::vector<std::uint8_t>& out, Status status,
                             std::uint64_t req_id, WireGroupId gid,
                             std::uint64_t commit_index) {
-  const std::size_t at = begin_frame(
-      out, FrameHeader{MsgType::kCommitWatch, status, req_id});
-  put_u64(out, gid);
-  put_u64(out, commit_index);
-  end_frame(out, at);
+  encode_fixed<CommitSnapshotL>(out, MsgType::kCommitWatch, status, req_id,
+                                CommitBody{gid, commit_index, 0, 0});
 }
 
 void encode_commit_event(std::vector<std::uint8_t>& out, WireGroupId gid,
                          std::uint64_t index, std::uint64_t value,
                          std::uint64_t trace) {
-  const std::size_t at = begin_frame(
-      out, FrameHeader{MsgType::kCommitEvent, Status::kOk, /*req_id=*/0});
-  put_u64(out, gid);
-  put_u64(out, index);
-  put_u64(out, value);
-  put_u64(out, trace);
-  end_frame(out, at);
+  encode_fixed<CommitEventL>(out, MsgType::kCommitEvent, Status::kOk,
+                             /*req_id=*/0, CommitBody{gid, index, value, trace});
 }
 
 void encode_reg_hello(std::vector<std::uint8_t>& out, Status status,
                       std::uint64_t req_id, std::uint32_t node) {
-  const std::size_t at =
-      begin_frame(out, FrameHeader{MsgType::kRegHello, status, req_id});
-  put_u32(out, node);
-  end_frame(out, at);
+  encode_fixed<RegHelloL>(out, MsgType::kRegHello, status, req_id,
+                          RegHelloBody{node});
 }
 
 void encode_reg_push(std::vector<std::uint8_t>& out, WireGroupId gid,
@@ -249,46 +336,43 @@ void encode_reg_push(std::vector<std::uint8_t>& out, WireGroupId gid,
               "push frame of " << count << " cells out of range");
   const std::size_t at = begin_frame(
       out, FrameHeader{MsgType::kRegPush, Status::kOk, /*req_id=*/0});
-  put_u64(out, gid);
-  put_u64(out, seq);
-  put_u32(out, count);
+  put_le<std::uint64_t>(out, gid);
+  put_le<std::uint64_t>(out, seq);
+  put_le<std::uint32_t>(out, count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    put_u32(out, cells[i].cell);
-    put_u64(out, cells[i].value);
+    put_le<std::uint32_t>(out, cells[i].cell);
+    put_le<std::uint64_t>(out, cells[i].value);
   }
   end_frame(out, at);
 }
 
 void encode_reg_ack(std::vector<std::uint8_t>& out, std::uint64_t seq) {
-  const std::size_t at = begin_frame(
-      out, FrameHeader{MsgType::kRegAck, Status::kOk, /*req_id=*/0});
-  put_u64(out, seq);
-  end_frame(out, at);
+  encode_fixed<RegAckL>(out, MsgType::kRegAck, Status::kOk, /*req_id=*/0,
+                        RegAckBody{seq});
 }
 
-void encode_session_open(std::vector<std::uint8_t>& out, Status status,
-                         std::uint64_t req_id, WireGroupId gid,
-                         std::uint64_t client_or_ttl) {
-  const std::size_t at =
-      begin_frame(out, FrameHeader{MsgType::kSessionOpen, status, req_id});
-  put_u64(out, gid);
-  put_u64(out, client_or_ttl);
-  end_frame(out, at);
+void encode_session_open_request(std::vector<std::uint8_t>& out,
+                                 std::uint64_t req_id,
+                                 const SessionOpenReqBody& body) {
+  encode_fixed<SessionReqL>(out, MsgType::kSessionOpen, Status::kOk, req_id,
+                            body);
+}
+
+void encode_session_open_response(std::vector<std::uint8_t>& out,
+                                  Status status, std::uint64_t req_id,
+                                  const SessionOpenRespBody& body) {
+  encode_fixed<SessionRespL>(out, MsgType::kSessionOpen, status, req_id, body);
 }
 
 std::size_t metrics_record_wire_size(const obs::MetricSample& m) noexcept {
   // Names are checked <= 255 bytes at registration and again at encode, so
   // the size needs no clamping here.
-  return 1 + 1 + m.name.size() + 8 + 8 + 1 + m.buckets.size() * 9;
+  return kMinMetricBytes + m.name.size() + m.buckets.size() * 9;
 }
 
-void encode_metrics_request(std::vector<std::uint8_t>& out,
-                            std::uint64_t req_id,
-                            const MetricsReqBody& body) {
-  const std::size_t at =
-      begin_frame(out, FrameHeader{MsgType::kMetrics, Status::kOk, req_id});
-  put_u32(out, body.start);
-  end_frame(out, at);
+void encode_page_request(std::vector<std::uint8_t>& out, MsgType type,
+                         std::uint64_t req_id, std::uint32_t start) {
+  encode_fixed<PageReqL>(out, type, Status::kOk, req_id, PageReqBody{start});
 }
 
 void encode_metrics_response(std::vector<std::uint8_t>& out, Status status,
@@ -296,24 +380,11 @@ void encode_metrics_response(std::vector<std::uint8_t>& out, Status status,
                              const MetricsRespBody& body) {
   const std::size_t at =
       begin_frame(out, FrameHeader{MsgType::kMetrics, status, req_id});
-  put_u32(out, body.total);
-  put_u32(out, body.start);
-  put_u32(out, static_cast<std::uint32_t>(body.metrics.size()));
+  put_le<std::uint32_t>(out, body.total);
+  put_le<std::uint32_t>(out, body.start);
+  put_le<std::uint32_t>(out, body.metrics.size());
   for (const obs::MetricSample& m : body.metrics) put_metric_record(out, m);
-  // v1.5: node identity trails the records; v1.3 readers skip it.
-  put_u32(out, body.node);
-  OMEGA_CHECK(out.size() - at - 4 <= kMaxPayloadBytes,
-              "metrics page overflows the payload cap: "
-                  << (out.size() - at - 4));
-  end_frame(out, at);
-}
-
-void encode_trace_dump_request(std::vector<std::uint8_t>& out,
-                               std::uint64_t req_id,
-                               const TraceDumpReqBody& body) {
-  const std::size_t at = begin_frame(
-      out, FrameHeader{MsgType::kTraceDump, Status::kOk, req_id});
-  put_u32(out, body.start);
+  put_le<std::uint32_t>(out, body.node);
   end_frame(out, at);
 }
 
@@ -322,22 +393,11 @@ void encode_trace_dump_response(std::vector<std::uint8_t>& out,
                                 const TraceDumpRespBody& body) {
   const std::size_t at =
       begin_frame(out, FrameHeader{MsgType::kTraceDump, status, req_id});
-  put_u32(out, body.total);
-  put_u32(out, body.start);
-  put_u64(out, static_cast<std::uint64_t>(body.realtime_offset_ns));
-  put_u32(out, static_cast<std::uint32_t>(body.records.size()));
-  for (const obs::TraceRecord& r : body.records) {
-    put_u64(out, r.ts_ns);
-    put_u32(out, r.thread);
-    put_u8(out, static_cast<std::uint8_t>(r.ev));
-    put_u64(out, r.a);
-    put_u64(out, r.b);
-    put_u64(out, r.trace_lo);
-    put_u64(out, r.trace_hi);
-  }
-  OMEGA_CHECK(out.size() - at - 4 <= kMaxPayloadBytes,
-              "trace page overflows the payload cap: "
-                  << (out.size() - at - 4));
+  put_le<std::uint32_t>(out, body.total);
+  put_le<std::uint32_t>(out, body.start);
+  put_le(out, body.realtime_offset_ns);
+  put_le<std::uint32_t>(out, body.records.size());
+  for (const obs::TraceRecord& r : body.records) TraceRecordL::put(out, r);
   end_frame(out, at);
 }
 
@@ -348,394 +408,203 @@ void encode_health_response(std::vector<std::uint8_t>& out, Status status,
               "health response with " << body.firing.size() << " rules");
   const std::size_t at =
       begin_frame(out, FrameHeader{MsgType::kHealth, status, req_id});
-  put_u8(out, body.overall);
-  put_u64(out, body.ticks);
-  put_u8(out, body.rules_total);
-  put_u8(out, static_cast<std::uint8_t>(body.firing.size()));
+  put_le<std::uint8_t>(out, body.overall);
+  put_le<std::uint64_t>(out, body.ticks);
+  put_le<std::uint8_t>(out, body.rules_total);
+  put_le<std::uint8_t>(out, body.firing.size());
   for (const HealthRuleWire& r : body.firing) {
-    put_u8(out, r.status);
+    put_le<std::uint8_t>(out, r.status);
     put_short_string(out, r.name);
     put_short_string(out, r.reason);
   }
-  OMEGA_CHECK(out.size() - at - 4 <= kMaxPayloadBytes,
-              "health frame overflows the payload cap: "
-                  << (out.size() - at - 4));
   end_frame(out, at);
 }
 
 void encode_metrics_watch_response(std::vector<std::uint8_t>& out,
                                    Status status, std::uint64_t req_id,
                                    std::uint32_t period_ms) {
-  const std::size_t at = begin_frame(
-      out, FrameHeader{MsgType::kMetricsWatch, status, req_id});
-  put_u32(out, period_ms);
-  end_frame(out, at);
+  encode_fixed<MetricsWatchL>(out, MsgType::kMetricsWatch, status, req_id,
+                              MetricsWatchRespBody{period_ms});
 }
 
 void encode_metrics_event(std::vector<std::uint8_t>& out,
                           const MetricsEventBody& body) {
   const std::size_t at = begin_frame(
       out, FrameHeader{MsgType::kMetricsEvent, Status::kOk, /*req_id=*/0});
-  put_u64(out, body.tick);
-  put_u8(out, body.health);
-  put_u32(out, body.total);
-  put_u32(out, body.start);
-  put_u32(out, static_cast<std::uint32_t>(body.metrics.size()));
+  put_le<std::uint64_t>(out, body.tick);
+  put_le<std::uint8_t>(out, body.health);
+  put_le<std::uint32_t>(out, body.total);
+  put_le<std::uint32_t>(out, body.start);
+  put_le<std::uint32_t>(out, body.metrics.size());
   for (const obs::MetricSample& m : body.metrics) put_metric_record(out, m);
-  OMEGA_CHECK(out.size() - at - 4 <= kMaxPayloadBytes,
-              "metrics event overflows the payload cap: "
-                  << (out.size() - at - 4));
   end_frame(out, at);
 }
 
 void encode_read_request(std::vector<std::uint8_t>& out, std::uint64_t req_id,
                          const ReadReqBody& body) {
-  const std::size_t at =
-      begin_frame(out, FrameHeader{MsgType::kRead, Status::kOk, req_id});
-  put_u64(out, body.gid);
-  put_u64(out, body.key);
-  put_u64(out, body.min_index);
-  end_frame(out, at);
+  encode_fixed<ReadReqL>(out, MsgType::kRead, Status::kOk, req_id, body);
 }
 
 void encode_read_response(std::vector<std::uint8_t>& out, Status status,
                           std::uint64_t req_id, const ReadRespBody& body) {
-  const std::size_t at =
-      begin_frame(out, FrameHeader{MsgType::kRead, status, req_id});
-  put_u64(out, body.gid);
-  put_u64(out, body.key);
-  put_u64(out, body.index);
-  put_u64(out, body.commit_index);
-  put_u32(out, body.leader);
-  put_u64(out, body.epoch);
-  end_frame(out, at);
+  encode_fixed<ReadRespL>(out, MsgType::kRead, status, req_id, body);
 }
 
-DecodeResult decode_payload(const std::uint8_t* data, std::size_t len,
-                            Frame& out) {
-  out = Frame{};
-  if (len < kHeaderBytes) return DecodeResult::kBadLength;
-  if (data[0] != kMagic || data[1] != kVersion) return DecodeResult::kBadMagic;
-  out.header.type = static_cast<MsgType>(data[2]);
-  out.header.status = static_cast<Status>(data[3]);
-  out.header.req_id = get_u64(data + 4);
+DecodeResult decode_request(const std::uint8_t* data, std::size_t len,
+                            Request& out) {
+  out.body = std::monostate{};
+  if (const DecodeResult r = decode_header(data, len, out.header);
+      r != DecodeResult::kOk) {
+    return r;
+  }
   const std::uint8_t* body = data + kHeaderBytes;
-  const std::size_t body_len = len - kHeaderBytes;
-
+  const std::size_t n = len - kHeaderBytes;
   switch (out.header.type) {
     case MsgType::kLeader:
     case MsgType::kWatch:
     case MsgType::kUnwatch:
-    case MsgType::kEvent: {
-      // gid is always present; leader+epoch only in responses/events (a
-      // 8-byte body is a request, a >=20-byte body carries the view).
-      if (body_len < 8) return DecodeResult::kBadBody;
-      out.view.gid = get_u64(body);
-      out.has_body = true;
-      if (body_len >= 20) {
-        out.view.leader = get_u32(body + 8);
-        out.view.epoch = get_u64(body + 12);
-      } else if (out.header.type == MsgType::kEvent) {
-        return DecodeResult::kBadBody;  // pushes always carry the view
-      }
-      return DecodeResult::kOk;
-    }
-    case MsgType::kPing:
-      return DecodeResult::kOk;
-    case MsgType::kStats: {
-      // < 48 bytes cannot be a v1 response; treat it as a request (a
-      // future revision may append request fields — ignore them) so the
-      // forward-compatibility rule holds for STATS too.
-      if (body_len < 48) return DecodeResult::kOk;
-      out.stats.connections = get_u64(body);
-      out.stats.queries = get_u64(body + 8);
-      out.stats.watches = get_u64(body + 16);
-      out.stats.events = get_u64(body + 24);
-      out.stats.groups = get_u64(body + 32);
-      out.stats.io_threads = get_u64(body + 40);
-      if (body_len >= 72) {  // v1.1 extension fields
-        out.stats.appends = get_u64(body + 48);
-        out.stats.commit_events = get_u64(body + 56);
-        out.stats.log_reads = get_u64(body + 64);
-      }
-      out.has_body = true;
-      return DecodeResult::kOk;
-    }
-    case MsgType::kAppend: {
-      // Role-based decode: a request is 32 bytes (gid, client, seq,
-      // command), a response 28 (gid, index, leader, epoch); v1.4 appends
-      // a u64 trace id to both (40/36 bytes — shorter v1.1 bodies decode
-      // with trace 0). Fill every interpretation the length allows; the
-      // consumer knows its side. The lengths interleave (28 < 32 < 36 <
-      // 40), so the request role matches the exact known request sizes,
-      // not a threshold — future revisions must grow request and
-      // response in lockstep to keep the sets disjoint.
-      if (body_len < 28) return DecodeResult::kBadBody;
-      out.append_resp.gid = get_u64(body);
-      out.append_resp.index = get_u64(body + 8);
-      out.append_resp.leader = get_u32(body + 16);
-      out.append_resp.epoch = get_u64(body + 20);
-      if (body_len >= 36 && body_len != 40) {
-        out.append_resp.trace = get_u64(body + 28);
-      }
-      if (body_len == 32 || body_len >= 40) {
-        out.append_req.gid = get_u64(body);
-        out.append_req.client = get_u64(body + 8);
-        out.append_req.seq = get_u64(body + 16);
-        out.append_req.command = get_u64(body + 24);
-        if (body_len >= 40) out.append_req.trace = get_u64(body + 32);
-        out.has_append_req = true;
-      }
-      out.has_body = true;
-      return DecodeResult::kOk;
-    }
-    case MsgType::kReadLog: {
-      // Request: gid | from(8) | max(4) = 20 bytes. Response: gid |
-      // commit_index(8) | count(4) | count × u64 — but *error* responses
-      // carry the gid alone, so only the gid is mandatory. Fixed parts
-      // fill both interpretations; the entry list is only parsed when
-      // `count` is consistent with the body length (a request's `max`
-      // will not be, unless it is 0 — and then the list is empty anyway).
-      if (body_len < 8) return DecodeResult::kBadBody;
-      out.readlog_req.gid = get_u64(body);
-      out.readlog_resp.gid = out.readlog_req.gid;
-      if (body_len >= 20) {
-        out.readlog_req.from = get_u64(body + 8);
-        out.readlog_req.max = get_u32(body + 16);
-        out.has_readlog_req = true;
-        out.readlog_resp.commit_index = out.readlog_req.from;
-        const std::uint32_t count = out.readlog_req.max;
-        if (count <= kMaxLogEntries &&
-            body_len >= 20 + std::size_t{count} * 8) {
-          out.readlog_resp.entries.reserve(count);
-          for (std::uint32_t i = 0; i < count; ++i) {
-            out.readlog_resp.entries.push_back(get_u64(body + 20 + i * 8));
-          }
-        }
-      }
-      out.has_body = true;
-      return DecodeResult::kOk;
-    }
     case MsgType::kCommitWatch:
     case MsgType::kCommitUnwatch:
-    case MsgType::kCommitEvent: {
-      // gid always; +index in kCommitWatch responses; +index,value in
-      // pushes (which, like kEvent, must carry their full body). v1.4
-      // pushes append the trace id; v1.1 pushes decode with trace 0.
-      if (body_len < 8) return DecodeResult::kBadBody;
-      out.commit.gid = get_u64(body);
-      if (body_len >= 16) out.commit.index = get_u64(body + 8);
-      if (body_len >= 24) {
-        out.commit.value = get_u64(body + 16);
-        if (body_len >= 32) out.commit.trace = get_u64(body + 24);
-      } else if (out.header.type == MsgType::kCommitEvent) {
-        return DecodeResult::kBadBody;
-      }
-      out.has_body = true;
-      return DecodeResult::kOk;
-    }
-    case MsgType::kRegHello: {
-      if (body_len < 4) return DecodeResult::kBadBody;
-      out.reg_hello.node = get_u32(body);
-      out.has_body = true;
-      return DecodeResult::kOk;
-    }
-    case MsgType::kRegPush: {
-      if (body_len < 20) return DecodeResult::kBadBody;
-      out.reg_push.gid = get_u64(body);
-      out.reg_push.seq = get_u64(body + 8);
-      const std::uint32_t count = get_u32(body + 16);
-      if (count > kMaxPushCells ||
-          body_len < 20 + std::size_t{count} * 12) {
-        return DecodeResult::kBadBody;
-      }
-      out.reg_push.cells.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint8_t* p = body + 20 + i * 12;
-        out.reg_push.cells.push_back(RegCellUpdate{get_u32(p), get_u64(p + 4)});
-      }
-      out.has_body = true;
-      return DecodeResult::kOk;
-    }
-    case MsgType::kRegAck: {
-      if (body_len < 8) return DecodeResult::kBadBody;
-      out.reg_ack.seq = get_u64(body);
-      out.has_body = true;
-      return DecodeResult::kOk;
-    }
-    case MsgType::kSessionOpen: {
-      // Request (gid, client) and response (gid, ttl_us) share the
-      // 16-byte layout; the consumer reads the field for its side.
-      if (body_len < 16) return DecodeResult::kBadBody;
-      out.session.gid = get_u64(body);
-      out.session.client = get_u64(body + 8);
-      out.session.ttl_us = out.session.client;
-      out.has_body = true;
-      return DecodeResult::kOk;
-    }
-    case MsgType::kMetrics: {
-      // Role-based by length, like STATS: a request is the 4-byte start
-      // index, a response at least total|start|count (12 bytes).
-      if (body_len < 4) return DecodeResult::kBadBody;
-      out.metrics_req.start = get_u32(body);
-      out.has_body = true;
-      if (body_len < 12) return DecodeResult::kOk;
-      out.metrics_resp.total = get_u32(body);
-      out.metrics_resp.start = get_u32(body + 4);
-      const std::uint32_t count = get_u32(body + 8);
-      // `count` is wire-controlled: reject counts the body cannot possibly
-      // hold (each record is >= 19 bytes: kind|name_len|value|sum|nbuckets)
-      // before reserve(), or a 12-byte frame with count=0xFFFFFFFF turns
-      // into a multi-hundred-GB allocation request.
-      if (count > (body_len - 12) / 19) return DecodeResult::kBadBody;
-      std::size_t off = 12;
-      out.metrics_resp.metrics.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        obs::MetricSample m;
-        if (!get_metric_record(body, body_len, off, m)) {
-          return DecodeResult::kBadBody;
-        }
-        out.metrics_resp.metrics.push_back(std::move(m));
-      }
-      // v1.5 node identity trails the records; absent on v1.3 peers.
-      if (body_len >= off + 4) {
-        out.metrics_resp.node = get_u32(body + off);
-      }
-      out.has_metrics_resp = true;
-      return DecodeResult::kOk;
-    }
-    case MsgType::kTraceDump: {
-      // Role-based by length, like kMetrics: a request is the 4-byte
-      // start index, a response at least total|start|offset|count (20).
-      if (body_len < 4) return DecodeResult::kBadBody;
-      out.trace_req.start = get_u32(body);
-      out.has_body = true;
-      if (body_len < 20) return DecodeResult::kOk;
-      out.trace_resp.total = get_u32(body);
-      out.trace_resp.start = get_u32(body + 4);
-      out.trace_resp.realtime_offset_ns =
-          static_cast<std::int64_t>(get_u64(body + 8));
-      const std::uint32_t count = get_u32(body + 16);
-      // `count` is wire-controlled: reject counts the fixed-size records
-      // cannot fill before reserve() (same hardening as kMetrics).
-      if (count > (body_len - 20) / kTraceRecordWireBytes) {
-        return DecodeResult::kBadBody;
-      }
-      std::size_t off = 20;
-      out.trace_resp.records.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        if (body_len < off + kTraceRecordWireBytes) {
-          return DecodeResult::kBadBody;
-        }
-        obs::TraceRecord r;
-        r.ts_ns = get_u64(body + off);
-        r.thread = get_u32(body + off + 8);
-        r.ev = static_cast<obs::TraceEvent>(body[off + 12]);
-        r.a = get_u64(body + off + 13);
-        r.b = get_u64(body + off + 21);
-        r.trace_lo = get_u64(body + off + 29);
-        r.trace_hi = get_u64(body + off + 37);
-        off += kTraceRecordWireBytes;
-        out.trace_resp.records.push_back(r);
-      }
-      out.has_trace_resp = true;
-      return DecodeResult::kOk;
-    }
-    case MsgType::kHealth: {
-      // Role-based by length: a request is empty, a response at least
-      // overall|ticks|rules_total|nfiring (11 bytes).
-      if (body_len < 11) return DecodeResult::kOk;
-      out.health_resp.overall = body[0];
-      out.health_resp.ticks = get_u64(body + 1);
-      out.health_resp.rules_total = body[9];
-      const std::size_t nfiring = body[10];
-      // `nfiring` is wire-controlled like kMetrics' count; each rule is
-      // >= 3 bytes (status + two empty length-prefixed strings).
-      if (nfiring > (body_len - 11) / 3) return DecodeResult::kBadBody;
-      std::size_t off = 11;
-      out.health_resp.firing.reserve(nfiring);
-      for (std::size_t i = 0; i < nfiring; ++i) {
-        if (body_len < off + 2) return DecodeResult::kBadBody;
-        HealthRuleWire r;
-        r.status = body[off];
-        const std::size_t name_len = body[off + 1];
-        off += 2;
-        if (body_len < off + name_len + 1) return DecodeResult::kBadBody;
-        r.name.assign(reinterpret_cast<const char*>(body + off), name_len);
-        off += name_len;
-        const std::size_t reason_len = body[off];
-        off += 1;
-        if (body_len < off + reason_len) return DecodeResult::kBadBody;
-        r.reason.assign(reinterpret_cast<const char*>(body + off),
-                        reason_len);
-        off += reason_len;
-        out.health_resp.firing.push_back(std::move(r));
-      }
-      out.has_body = true;
-      out.has_health_resp = true;
-      return DecodeResult::kOk;
-    }
-    case MsgType::kMetricsWatch: {
-      // Role-based by length: a request is empty, a response carries the
-      // u32 sampler period.
-      if (body_len < 4) return DecodeResult::kOk;
-      out.metrics_watch.period_ms = get_u32(body);
-      out.has_body = true;
-      return DecodeResult::kOk;
-    }
-    case MsgType::kMetricsEvent: {
-      // Push only: tick|health|total|start|count (21 bytes) + records.
-      if (body_len < 21) return DecodeResult::kBadBody;
-      out.metrics_event.tick = get_u64(body);
-      out.metrics_event.health = body[8];
-      out.metrics_event.total = get_u32(body + 9);
-      out.metrics_event.start = get_u32(body + 13);
-      const std::uint32_t count = get_u32(body + 17);
-      // Count-bomb hardening, same bound as kMetrics records.
-      if (count > (body_len - 21) / 19) return DecodeResult::kBadBody;
-      std::size_t off = 21;
-      out.metrics_event.metrics.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        obs::MetricSample m;
-        if (!get_metric_record(body, body_len, off, m)) {
-          return DecodeResult::kBadBody;
-        }
-        out.metrics_event.metrics.push_back(std::move(m));
-      }
-      out.has_body = true;
-      out.has_metrics_event = true;
-      return DecodeResult::kOk;
-    }
-    case MsgType::kRead: {
-      // Role-based decode (v1.6): a request is gid|key|min_index (24
-      // bytes — the APPEND lockstep rule: request lengths stay below the
-      // response's 44, and future revisions grow both sides together),
-      // a response gid|key|index|commit_index|leader|epoch (>= 44;
-      // error responses carry the full zero-filled body too, so one
-      // length rule covers every status).
-      if (body_len < 24) return DecodeResult::kBadBody;
-      out.read_req.gid = get_u64(body);
-      out.read_req.key = get_u64(body + 8);
-      if (body_len < 44) {
-        out.read_req.min_index = get_u64(body + 16);
-        out.has_read_req = true;
-      } else {
-        out.read_resp.gid = out.read_req.gid;
-        out.read_resp.key = out.read_req.key;
-        out.read_resp.index = get_u64(body + 16);
-        out.read_resp.commit_index = get_u64(body + 24);
-        out.read_resp.leader = get_u32(body + 32);
-        out.read_resp.epoch = get_u64(body + 36);
-        out.has_read_resp = true;
-      }
-      out.has_body = true;
-      return DecodeResult::kOk;
-    }
-    default:
-      // Unknown type: header decoded, no body — lets a server answer
-      // kUnsupported and a client skip frames from a newer server.
-      return DecodeResult::kOk;
+      return decode_fixed<GidL>(body, n, out.body);
+    case MsgType::kPing:
+    case MsgType::kHealth:
+    case MsgType::kMetricsWatch:
+      return decode_empty(n);
+    case MsgType::kAppend:
+      return decode_fixed<AppendReqL>(body, n, out.body);
+    case MsgType::kReadLog:
+      return decode_fixed<ReadLogReqL>(body, n, out.body);
+    case MsgType::kRegHello:
+      return decode_fixed<RegHelloL>(body, n, out.body);
+    case MsgType::kRegPush:
+      return decode_variable<RegPushBody>(
+          body, n, out.body, [](Reader& r, RegPushBody& b) {
+            b.gid = r.take<std::uint64_t>();
+            b.seq = r.take<std::uint64_t>();
+            if (!take_count<std::uint32_t>(r, kMaxPushCells, 12, b.cells)) {
+              return false;
+            }
+            for (RegCellUpdate& u : b.cells) {
+              u.cell = r.take<std::uint32_t>();
+              u.value = r.take<std::uint64_t>();
+            }
+            return true;
+          });
+    case MsgType::kSessionOpen:
+      return decode_fixed<SessionReqL>(body, n, out.body);
+    case MsgType::kMetrics:
+    case MsgType::kTraceDump:
+      return decode_fixed<PageReqL>(body, n, out.body);
+    case MsgType::kRead:
+      return decode_fixed<ReadReqL>(body, n, out.body);
+    case MsgType::kEvent:
+    case MsgType::kCommitEvent:
+    case MsgType::kRegAck:
+    case MsgType::kMetricsEvent:
+      return DecodeResult::kBadBody;  // no request role
   }
+  return DecodeResult::kOk;  // unknown type: header only
+}
+
+DecodeResult decode_response(const std::uint8_t* data, std::size_t len,
+                             Response& out) {
+  out.body = std::monostate{};
+  if (const DecodeResult r = decode_header(data, len, out.header);
+      r != DecodeResult::kOk) {
+    return r;
+  }
+  const std::uint8_t* body = data + kHeaderBytes;
+  const std::size_t n = len - kHeaderBytes;
+  switch (out.header.type) {
+    case MsgType::kLeader:
+    case MsgType::kWatch:
+    case MsgType::kEvent:
+      return decode_fixed<ViewL>(body, n, out.body);
+    case MsgType::kUnwatch:
+    case MsgType::kCommitUnwatch:
+      return decode_fixed<GidL>(body, n, out.body);
+    case MsgType::kPing:
+      return decode_empty(n);
+    case MsgType::kAppend:
+      return decode_fixed<AppendRespL>(body, n, out.body);
+    case MsgType::kReadLog:
+      return decode_variable<ReadLogRespBody>(
+          body, n, out.body, [](Reader& r, ReadLogRespBody& b) {
+            b.gid = r.take<std::uint64_t>();
+            b.commit_index = r.take<std::uint64_t>();
+            if (!take_count<std::uint32_t>(r, kMaxLogEntries, 8, b.entries)) {
+              return false;
+            }
+            for (std::uint64_t& e : b.entries) e = r.take<std::uint64_t>();
+            return true;
+          });
+    case MsgType::kCommitWatch:
+      return decode_fixed<CommitSnapshotL>(body, n, out.body);
+    case MsgType::kCommitEvent:
+      return decode_fixed<CommitEventL>(body, n, out.body);
+    case MsgType::kRegHello:
+      return decode_fixed<RegHelloL>(body, n, out.body);
+    case MsgType::kRegAck:
+      return decode_fixed<RegAckL>(body, n, out.body);
+    case MsgType::kSessionOpen:
+      return decode_fixed<SessionRespL>(body, n, out.body);
+    case MsgType::kMetrics:
+      return decode_variable<MetricsRespBody>(
+          body, n, out.body, [](Reader& r, MetricsRespBody& b) {
+            b.total = r.take<std::uint32_t>();
+            b.start = r.take<std::uint32_t>();
+            if (!take_metrics(r, b.metrics)) return false;
+            b.node = r.take<std::uint32_t>();
+            return true;
+          });
+    case MsgType::kTraceDump:
+      return decode_variable<TraceDumpRespBody>(
+          body, n, out.body, [](Reader& r, TraceDumpRespBody& b) {
+            b.total = r.take<std::uint32_t>();
+            b.start = r.take<std::uint32_t>();
+            b.realtime_offset_ns = r.take<std::int64_t>();
+            if (!take_count<std::uint32_t>(r, kMaxPayloadBytes,
+                                           kTraceRecordWireBytes, b.records)) {
+              return false;
+            }
+            for (obs::TraceRecord& t : b.records) {
+              t = TraceRecordL::get(r.bytes(kTraceRecordWireBytes));
+            }
+            return true;
+          });
+    case MsgType::kHealth:
+      return decode_variable<HealthRespBody>(
+          body, n, out.body, [](Reader& r, HealthRespBody& b) {
+            b.overall = r.take<std::uint8_t>();
+            b.ticks = r.take<std::uint64_t>();
+            b.rules_total = r.take<std::uint8_t>();
+            if (!take_count<std::uint8_t>(r, 255, kMinRuleBytes, b.firing)) {
+              return false;
+            }
+            for (HealthRuleWire& w : b.firing) {
+              w.status = r.take<std::uint8_t>();
+              w.name = r.text();
+              w.reason = r.text();
+            }
+            return true;
+          });
+    case MsgType::kMetricsWatch:
+      return decode_fixed<MetricsWatchL>(body, n, out.body);
+    case MsgType::kMetricsEvent:
+      return decode_variable<MetricsEventBody>(
+          body, n, out.body, [](Reader& r, MetricsEventBody& b) {
+            b.tick = r.take<std::uint64_t>();
+            b.health = r.take<std::uint8_t>();
+            b.total = r.take<std::uint32_t>();
+            b.start = r.take<std::uint32_t>();
+            return take_metrics(r, b.metrics);
+          });
+    case MsgType::kRead:
+      return decode_fixed<ReadRespL>(body, n, out.body);
+    case MsgType::kRegPush:
+      return DecodeResult::kBadBody;  // no response role
+  }
+  return DecodeResult::kOk;  // unknown type: header only
 }
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t len) {
@@ -754,7 +623,7 @@ bool FrameDecoder::next(const std::uint8_t*& payload, std::size_t& len) {
   if (corrupt_) return false;
   if (buf_.size() - pos_ < 4) return false;
   const std::uint8_t* p = buf_.data() + pos_;
-  const std::uint32_t payload_len = get_u32(p);
+  const std::uint32_t payload_len = get_le<std::uint32_t>(p);
   if (payload_len > kMaxPayloadBytes) {
     corrupt_ = true;
     return false;

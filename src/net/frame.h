@@ -1,163 +1,101 @@
-// Wire protocol of the leader-query front-end (src/net): length-prefixed
+// Wire protocol of the serving front-end (src/net): length-prefixed
 // binary frames over TCP.
 //
-//   frame    := u32 payload_len (LE) | payload
+//   frame    := u32 payload_len | payload          (payload <= 4096 bytes)
 //   payload  := header | body
-//   header   := u8 magic (0xA9) | u8 version (1) | u8 type | u8 status
-//               | u64 req_id (LE)
+//   header   := u8 magic (0xA9) | u8 version (2) | u8 type | u8 status
+//               | u64 req_id
 //
-// All integers are little-endian. `req_id` is chosen by the client and
-// echoed verbatim in the matching response; server-pushed EVENT frames
-// carry req_id 0. `status` is 0 in requests and a Status code in
-// responses. Payloads are capped at kMaxPayloadBytes — a peer announcing
-// more is a protocol error and the connection is closed.
+// All integers are little-endian. `req_id` is chosen by the requester and
+// echoed in the matching response; pushes carry req_id 0. `status` is 0 in
+// requests and a Status code in responses.
 //
-// Message bodies (v1):
-//   LEADER  req: u64 gid          resp: u64 gid | u32 leader | u64 epoch
-//   WATCH   req: u64 gid          resp: like LEADER (the initial snapshot)
-//   UNWATCH req: u64 gid          resp: u64 gid
-//   PING    req: (empty)          resp: (empty)
-//   STATS   req: (empty)          resp: 9 × u64 (see StatsBody; the first
-//           six fields are the v1.0 body — old readers ignore the rest)
-//   EVENT   (server push only):   u64 gid | u32 leader | u64 epoch
+// The role is not on the wire: every decode site knows its side. Servers
+// and the mirror acceptor call decode_request; clients and the mirror
+// dialler call decode_response. Each (type, role) has exactly one layout,
+// for every status — error answers carry the full body, zero-filled — and
+// a body of any other length is kBadBody. Unknown types decode header-only
+// so a server can answer kUnsupported.
 //
-// Replicated-log bodies (v1.1, see README "Replicated log service"):
-//   APPEND       req: u64 gid | u64 client | u64 seq | u64 command
-//                resp: u64 gid | u64 index | u32 leader | u64 epoch
-//                (index valid for kOk; leader/epoch are the redirect hint
-//                for kNotLeader)
-//   READ_LOG     req: u64 gid | u64 from | u32 max
-//                resp: u64 gid | u64 commit_index | u32 count | count × u64
-//   COMMIT_WATCH req: u64 gid     resp: u64 gid | u64 commit_index
-//   COMMIT_UNWATCH req: u64 gid   resp: u64 gid
-//   COMMIT_EVENT (server push):   u64 gid | u64 index | u64 value
+// Bodies (v2; fields u64 unless sized, `-` = empty, n = record count):
+//   type              request                     response / push
+//   LEADER        1   gid                         view
+//   WATCH         2   gid                         view (the snapshot)
+//   UNWATCH       3   gid                         gid
+//   PING          4   -                           -
+//   (5 is reserved: the retired STATS frame)
+//   EVENT         6                               push: view
+//   APPEND        7   gid client seq command      gid index u32:leader
+//                     trace                       epoch trace
+//   READ_LOG      8   gid from u32:max            gid commit_index u32:n
+//                                                 | n × u64 entry
+//   COMMIT_WATCH  9   gid                         gid commit_index
+//   COMMIT_UNWATCH 10 gid                         gid
+//   COMMIT_EVENT 11                               push: gid index value trace
+//   REG_HELLO    12   u32:node                    u32:node (the acceptor's)
+//   REG_PUSH     13   one-way: gid seq u32:n | n × (u32:cell u64:value)
+//   REG_ACK      14                               one-way: seq
+//   SESSION_OPEN 15   gid client                  gid ttl_us
+//   METRICS      16   u32:start                   u32:total u32:start u32:n
+//                                                 | n × metric | u32:node
+//   TRACE_DUMP   17   u32:start                   u32:total u32:start
+//                                                 i64:realtime_offset_ns
+//                                                 u32:n | n × trace record
+//   HEALTH       18   -                           u8:overall ticks
+//                                                 u8:rules_total u8:n
+//                                                 | n × rule
+//   METRICS_WATCH 19  -                           u32:period_ms
+//   METRICS_EVENT 20                              push: tick u8:health
+//                                                 u32:total u32:start u32:n
+//                                                 | n × metric
+//   READ         21   gid key min_index           gid key index commit_index
+//                                                 u32:leader epoch
 //
-// Register-mirror bodies (v1.2, the multi-process transport — see
-// README "Multi-node deployment" and net/register_peer.h):
-//   REG_HELLO    req: u32 node            resp: u32 node (the peer's)
-//                opens a push stream: every later REG_PUSH on this
-//                connection is from `node`'s locally-owned registers.
-//   REG_PUSH     one-way (req_id 0): u64 gid | u64 seq | u32 count
-//                | count × (u32 cell | u64 value)
-//                FIFO per stream; `seq` increments per frame per stream.
-//   REG_ACK      one-way (req_id 0): u64 seq — cumulative: every push of
-//                this stream up to `seq` is applied at the receiver.
+//   view    := gid | u32 leader | epoch
+//   metric  := u8 kind (0 counter, 1 gauge, 2 histogram) | u8 name_len
+//              | name | i64 value (histogram: sample count) | sum
+//              | u8 nbuckets | nbuckets × (u8 bucket | u64 count)
+//   trace record := ts_ns | u32 thread | u8 event | a | b | trace_lo
+//              | trace_hi (45 bytes)
+//   rule    := u8 status | u8 name_len | name | u8 reason_len | reason
 //
-// Session bodies (v1.2):
-//   SESSION_OPEN req: u64 gid | u64 client
-//                resp: u64 gid | u64 ttl_us (0 = sessions never expire)
-//                (re)opens the client's dedup session; appends from a
-//                client whose session was TTL-evicted answer
-//                kSessionEvicted until the client re-opens (instead of
-//                silently treating a retry as a fresh command).
+// Semantics worth knowing at the wire:
+//   * `leader` is a ProcessId, kNoProcess (0xffffffff) = no agreed leader.
+//     `epoch` is the fencing token: it grows on every change of the
+//     group's agreed view. kNotLeader answers carry leader/epoch as the
+//     redirect hint.
+//   * APPEND `trace` is the client-minted trace id, echoed on the answer
+//     and on the entry's COMMIT_EVENT (0 = untraced).
+//   * REG_PUSH frames are FIFO per stream and `seq` counts them from 1;
+//     REG_ACK is cumulative (every push up to `seq` is applied).
+//   * SESSION_OPEN (re)opens the client's dedup session; ttl_us 0 means
+//     sessions never expire. Appends after a TTL eviction answer
+//     kSessionEvicted until the client re-opens.
+//   * METRICS and TRACE_DUMP page: the client re-requests from
+//     start + n until total is covered. Histogram buckets are sparse
+//     (bucket b covers [2^(b-1), 2^b - 1], bucket 0 is {0}). Trace pages
+//     are newest-first over a fresh snapshot per request, so ring churn
+//     repeats records instead of skipping them; wall time = ts_ns +
+//     realtime_offset_ns. `node` names the answering node (kNoNodeId).
+//   * HEALTH carries only firing (non-ok) rules; overall/status are
+//     obs::Health values. HEALTH, METRICS_WATCH answer kUnsupported when
+//     the server runs no sampler. METRICS_WATCH subscribes the connection
+//     to METRICS_EVENT pushes; one sampler tick is ceil(total / per-page)
+//     pushes sharing `tick`.
+//   * READ `index` is the key's latest applied position plus one (0 =
+//     never applied). The status names the answering path: kLeaseRead
+//     (leader, valid lease), kIndexRead (follower past the fence), kOk
+//     (leader fallback), kNotLeader (refused; fields are a hint only).
+//     `min_index` floors a follower's fence for read-your-writes.
 //
-// Observability bodies (v1.3 — see README "Observability"):
-//   METRICS      req: u32 start — index of the first metric wanted, in
-//                the server's name-sorted scrape order (0 for the first
-//                page).
-//                resp: u32 total | u32 start | u32 count | count × record
-//                record := u8 kind (0 counter, 1 gauge, 2 histogram)
-//                        | u8 name_len | name_len × name byte
-//                        | u64 value (i64 two's complement; histogram:
-//                          sample count) | u64 sum (histograms, else 0)
-//                        | u8 nbuckets | nbuckets × (u8 bucket, u64 count)
-//                Histogram buckets are sparse (non-zero only, ascending;
-//                bucket b covers [2^(b-1), 2^b - 1], bucket 0 is {0}).
-//                The server packs as many whole records per page as fit
-//                kMaxPayloadBytes; the client re-requests from
-//                start + count until total is covered. STATS is untouched
-//                and stays byte-compatible.
-//
-// Causal-tracing bodies (v1.4 — see README "Distributed tracing"):
-//   APPEND       req  += u64 trace_id (body 40 bytes; 32-byte v1.1
-//                requests decode with trace 0)
-//                resp += u64 trace_id (body 36 bytes) — the id echoed
-//   COMMIT_EVENT      += u64 trace_id (body 32 bytes; kCommitWatch
-//                snapshots stay 16 bytes, they name no single append)
-//   TRACE_DUMP   req: u32 start — index of the first record wanted in
-//                the server's snapshot order (0 for the first page).
-//                resp: u32 total | u32 start | i64 realtime_offset_ns
-//                | u32 count | count × record
-//                record := u64 ts_ns | u32 thread | u8 event
-//                        | u64 a | u64 b | u64 trace_lo | u64 trace_hi
-//                (45 bytes fixed). ts_ns is the node's steady clock;
-//                wall time = ts_ns + realtime_offset_ns. The server
-//                snapshots its flight-recorder rings fresh per request
-//                and serves records NEWEST-first, so ring churn between
-//                pages duplicates records (the client dedupes) instead
-//                of opening gaps. Pagination works like METRICS: whole
-//                records per page, client re-requests from start+count.
-//
-// Health & streaming bodies (v1.5 — see README "Health & streaming
-// telemetry"):
-//   METRICS      resp += u32 node — the answering node's id appended
-//                after the records (kNoNodeId when the server has no
-//                identity; v1.3 readers skip it as trailing bytes), so
-//                multi-node merges label samples by node, not by the
-//                order endpoints were dialled.
-//   HEALTH       req: (empty)
-//                resp: u8 overall | u64 ticks | u8 rules_total
-//                | u8 nfiring | nfiring × rule
-//                rule := u8 status | u8 name_len | name_len × byte
-//                      | u8 reason_len | reason_len × byte
-//                overall/status: 0 ok, 1 degraded, 2 critical. `ticks`
-//                is sampler evaluations so far (0 = no sampler; the
-//                server then answers kUnsupported). Only firing
-//                (non-ok) rules ride the wire; rules_total lets the
-//                reader compute how many are ok.
-//   METRICS_WATCH req: (empty)
-//                resp: u32 period_ms — the sampler period; subscribes
-//                this connection to METRICS_EVENT pushes until it
-//                closes (kUnsupported with period 0 when no sampler).
-//   METRICS_EVENT (server push only, req_id 0):
-//                u64 tick | u8 health | u32 total | u32 start
-//                | u32 count | count × record (the kMetrics record
-//                format). One sampler tick fans out as ceil(total /
-//                per-page) pushes sharing `tick`; a subscriber
-//                reassembles pages until start+count = total. `health`
-//                is the overall verdict at that tick.
-//
-// Linearizable-read bodies (v1.6 — see README "Linearizable reads"):
-//   READ         req: u64 gid | u64 key | u64 min_index (24 bytes exactly)
-//                `key` is the command value whose latest applied position
-//                is wanted; `min_index` is the client's session floor — a
-//                follower answers only once its applied index passes
-//                max(published fence, min_index), giving read-your-writes
-//                across a leader->follower switch (0 = no floor).
-//                resp: u64 gid | u64 key | u64 index | u64 commit_index
-//                | u32 leader | u64 epoch (44 bytes; error responses
-//                carry the same zero-filled body so one length rule
-//                covers every status). `index` is the key's latest
-//                applied position PLUS ONE — 0 means "never applied".
-//                Status tells which path answered: kLeaseRead (leader,
-//                epoch-fenced lease valid — linearizable), kIndexRead
-//                (follower, local apply passed the fence), kOk (leader
-//                fallback without a valid lease), kNotLeader with the
-//                leader/epoch hint otherwise. The lengths follow the
-//                APPEND lockstep rule: request (24) and response (44)
-//                sizes stay disjoint, and future revisions must grow
-//                both together.
-//
-// APPEND and READ_LOG are the two types whose request and response bodies
-// can have overlapping lengths, so their decode is *role-based*: the
-// decoder fills both interpretations when the length allows and the
-// consumer reads the one matching its side of the connection (a server
-// only ever receives requests, a client only responses).
-//
-// `leader` is the ProcessId on the wire, with kNoProcess (0xffffffff)
-// meaning "no agreed leader right now". `epoch` is the fencing token: it
-// increments on every change of the group's agreed view, so a client
-// holding a lease obtained at epoch E must treat any frame for that group
-// with a larger epoch as an invalidation.
-//
-// Versioning: bumping kVersion invalidates old peers loudly (decode
-// rejects the frame) instead of silently misparsing; body decoders accept
-// trailing bytes they do not understand so a future minor revision can
-// append fields without breaking v1 readers.
+// Versioning: any change to a layout bumps kVersion; a peer speaking
+// another version fails at the header (kBadMagic) instead of misparsing.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "common/ids.h"
@@ -167,51 +105,50 @@
 namespace omega::net {
 
 inline constexpr std::uint8_t kMagic = 0xA9;
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 
-/// Hard cap on a frame's payload; v1 bodies are tiny, so anything larger
-/// is garbage or an attack, not a message.
+/// Hard cap on a frame's payload; bodies are small, so anything larger is
+/// garbage or an attack, not a message.
 inline constexpr std::uint32_t kMaxPayloadBytes = 4096;
 
 /// Bytes of the fixed header inside the payload.
 inline constexpr std::size_t kHeaderBytes = 1 + 1 + 1 + 1 + 8;
 
 enum class MsgType : std::uint8_t {
-  kLeader = 1,   ///< point query: who leads group G?
-  kWatch = 2,    ///< subscribe to G's epoch changes (resp = snapshot)
-  kUnwatch = 3,  ///< drop the subscription
-  kPing = 4,     ///< liveness / RTT probe
-  kStats = 5,    ///< server counters
-  kEvent = 6,    ///< server push: G's agreed view changed
-  kAppend = 7,        ///< append a command to G's replicated log
-  kReadLog = 8,       ///< page of applied log entries
-  kCommitWatch = 9,   ///< subscribe to G's commit pushes (resp = snapshot)
+  kLeader = 1,          ///< point query: who leads group G?
+  kWatch = 2,           ///< subscribe to G's epoch changes
+  kUnwatch = 3,         ///< drop the subscription
+  kPing = 4,            ///< liveness / RTT probe
+  kEvent = 6,           ///< server push: G's agreed view changed
+  kAppend = 7,          ///< append a command to G's replicated log
+  kReadLog = 8,         ///< page of applied log entries
+  kCommitWatch = 9,     ///< subscribe to G's commit pushes
   kCommitUnwatch = 10,  ///< drop the commit subscription
-  kCommitEvent = 11,  ///< server push: an entry of G's log was applied
-  kRegHello = 12,     ///< open a register push stream (v1.2)
-  kRegPush = 13,      ///< pushed register updates, FIFO per stream (v1.2)
-  kRegAck = 14,       ///< cumulative apply acknowledgement (v1.2)
-  kSessionOpen = 15,  ///< (re)open a dedup session; resp carries the TTL
-  kMetrics = 16,      ///< paged scrape of the obs metric registry (v1.3)
-  kTraceDump = 17,    ///< paged scrape of the flight recorder (v1.4)
-  kHealth = 18,        ///< health verdict + firing rules (v1.5)
-  kMetricsWatch = 19,  ///< subscribe to per-tick metric pushes (v1.5)
-  kMetricsEvent = 20,  ///< server push: one page of a sampler tick (v1.5)
-  kRead = 21,          ///< point read of a key's applied position (v1.6)
+  kCommitEvent = 11,    ///< server push: an entry of G's log was applied
+  kRegHello = 12,       ///< open a register push stream
+  kRegPush = 13,        ///< pushed register updates, FIFO per stream
+  kRegAck = 14,         ///< cumulative apply acknowledgement
+  kSessionOpen = 15,    ///< (re)open a dedup session
+  kMetrics = 16,        ///< paged scrape of the obs metric registry
+  kTraceDump = 17,      ///< paged scrape of the flight recorder
+  kHealth = 18,         ///< health verdict + firing rules
+  kMetricsWatch = 19,   ///< subscribe to per-tick metric pushes
+  kMetricsEvent = 20,   ///< server push: one page of a sampler tick
+  kRead = 21,           ///< point read of a key's applied position
 };
 
 enum class Status : std::uint8_t {
   kOk = 0,
-  kUnknownGroup = 1,  ///< gid not registered with the service
-  kBadRequest = 2,    ///< body malformed for the declared type
-  kUnsupported = 3,   ///< type unknown to this server version
-  kNotLeader = 4,     ///< group has no agreed leader; redirect/back off
-  kStaleSeq = 5,      ///< append seq older than the client's latest
-  kOverloaded = 6,    ///< command intake full; retry later
-  kLogFull = 7,       ///< the log's slot capacity is exhausted
+  kUnknownGroup = 1,    ///< gid not registered with the service
+  kBadRequest = 2,      ///< request rejected by the application layer
+  kUnsupported = 3,     ///< type unknown to (or not served by) this server
+  kNotLeader = 4,       ///< group has no agreed leader; redirect/back off
+  kStaleSeq = 5,        ///< append seq older than the client's latest
+  kOverloaded = 6,      ///< command intake full; retry later
+  kLogFull = 7,         ///< the log's slot capacity is exhausted
   kSessionEvicted = 8,  ///< dedup session expired; SESSION_OPEN to resume
-  kLeaseRead = 9,   ///< READ answered under a valid leader lease (v1.6)
-  kIndexRead = 10,  ///< READ answered by a follower past the fence (v1.6)
+  kLeaseRead = 9,       ///< READ answered under a valid leader lease
+  kIndexRead = 10,      ///< READ answered by a follower past the fence
 };
 
 struct FrameHeader {
@@ -223,139 +160,117 @@ struct FrameHeader {
 /// Group id on the wire (matches svc::GroupId's representation).
 using WireGroupId = std::uint64_t;
 
-/// Body of LEADER/WATCH responses and EVENT pushes.
+/// Requests addressed to one group, and UNWATCH/COMMIT_UNWATCH answers.
+struct GidBody {
+  WireGroupId gid = 0;
+};
+
+/// LEADER/WATCH answers and EVENT pushes.
 struct ViewBody {
   WireGroupId gid = 0;
   ProcessId leader = kNoProcess;
   std::uint64_t epoch = 0;
 };
 
-/// Body of a STATS response. The first six fields are the v1.0 body; the
-/// rest were appended in v1.1 (old readers skip them as trailing bytes,
-/// and the decoder leaves them zero for v1.0 peers).
-struct StatsBody {
-  std::uint64_t connections = 0;    ///< currently open connections
-  std::uint64_t queries = 0;        ///< LEADER requests served
-  std::uint64_t watches = 0;        ///< active (gid, connection) watches
-  std::uint64_t events = 0;         ///< EVENT frames pushed
-  std::uint64_t groups = 0;         ///< groups registered with the service
-  std::uint64_t io_threads = 0;     ///< serving event loops
-  std::uint64_t appends = 0;        ///< APPEND requests accepted
-  std::uint64_t commit_events = 0;  ///< COMMIT_EVENT frames pushed
-  std::uint64_t log_reads = 0;      ///< READ_LOG requests served
-};
-
-/// kAppend request body.
 struct AppendReqBody {
   WireGroupId gid = 0;
   std::uint64_t client = 0;   ///< dedup-key half 1: client session id
   std::uint64_t seq = 0;      ///< dedup-key half 2: per-client sequence
   std::uint64_t command = 0;  ///< value to append, in [1, 65534]
-  std::uint64_t trace = 0;    ///< v1.4 trace id (0 = untraced v1.1 peer)
+  std::uint64_t trace = 0;    ///< trace id (0 = untraced)
 };
 
-/// kAppend response body.
 struct AppendRespBody {
   WireGroupId gid = 0;
   std::uint64_t index = 0;        ///< commit position (kOk only)
   ProcessId leader = kNoProcess;  ///< redirect hint (kNotLeader)
   std::uint64_t epoch = 0;
-  std::uint64_t trace = 0;        ///< v1.4: the request's trace id, echoed
+  std::uint64_t trace = 0;        ///< the request's trace id, echoed
 };
 
-/// kReadLog request body.
 struct ReadLogReqBody {
   WireGroupId gid = 0;
   std::uint64_t from = 0;  ///< first index wanted
   std::uint32_t max = 0;   ///< page size (server caps at kMaxLogEntries)
 };
 
-/// kReadLog response body (entries follow the fixed part on the wire).
 struct ReadLogRespBody {
   WireGroupId gid = 0;
   std::uint64_t commit_index = 0;
   std::vector<std::uint64_t> entries;
 };
 
-/// kCommitWatch responses (index only) and kCommitEvent pushes.
+/// COMMIT_WATCH answers (gid, index = the commit-index snapshot) and
+/// COMMIT_EVENT pushes (every field).
 struct CommitBody {
   WireGroupId gid = 0;
   std::uint64_t index = 0;
-  std::uint64_t value = 0;  ///< kCommitEvent only
-  std::uint64_t trace = 0;  ///< kCommitEvent only (v1.4; 0 = untraced)
+  std::uint64_t value = 0;  ///< COMMIT_EVENT only
+  std::uint64_t trace = 0;  ///< COMMIT_EVENT only (0 = untraced)
 };
 
 /// Server-side page cap for READ_LOG (the payload cap allows ~500).
 inline constexpr std::uint32_t kMaxLogEntries = 256;
 
-/// One pushed register update (v1.2).
+/// One pushed register update.
 struct RegCellUpdate {
   std::uint32_t cell = 0;
   std::uint64_t value = 0;
 };
 
-/// kRegHello requests and responses (u32 node either way).
+/// REG_HELLO either way: the sender's node id.
 struct RegHelloBody {
   std::uint32_t node = 0;
 };
 
-/// kRegPush one-way frames.
 struct RegPushBody {
   WireGroupId gid = 0;
   std::uint64_t seq = 0;  ///< per-stream frame counter, starts at 1
   std::vector<RegCellUpdate> cells;
 };
 
-/// kRegAck one-way frames (cumulative per stream).
 struct RegAckBody {
   std::uint64_t seq = 0;
-};
-
-/// kSessionOpen requests (gid, client) and responses (gid, ttl_us) —
-/// role-based like APPEND: both interpretations share the layout.
-struct SessionOpenBody {
-  WireGroupId gid = 0;
-  std::uint64_t client = 0;  ///< request interpretation
-  std::uint64_t ttl_us = 0;  ///< response interpretation (same bytes)
 };
 
 /// Cells per REG_PUSH frame (keeps the frame well inside kMaxPayloadBytes;
 /// a flush larger than this is split into several frames).
 inline constexpr std::uint32_t kMaxPushCells = 256;
 
-/// kMetrics request body (v1.3): first metric index wanted.
-struct MetricsReqBody {
+struct SessionOpenReqBody {
+  WireGroupId gid = 0;
+  std::uint64_t client = 0;
+};
+
+struct SessionOpenRespBody {
+  WireGroupId gid = 0;
+  std::uint64_t ttl_us = 0;  ///< 0 = sessions never expire
+};
+
+/// METRICS and TRACE_DUMP requests: index of the first record wanted in
+/// the server's scrape order (0 for the first page).
+struct PageReqBody {
   std::uint32_t start = 0;
 };
 
-/// "This server has no node identity" — the default NetConfig::node_id
-/// and the v1.5 METRICS `node` field for v1.3 responses.
+/// "This server has no node identity" — the default NetConfig::node_id.
 inline constexpr std::uint32_t kNoNodeId = 0xffffffff;
 
-/// kMetrics response body: one page of the name-sorted scrape. `metrics`
-/// reuses obs::MetricSample verbatim, so server, client and renderers
-/// share one record type. `node` (v1.5) trails the records on the wire;
-/// v1.3 responses decode with kNoNodeId.
+/// One page of the name-sorted METRICS scrape. `metrics` reuses
+/// obs::MetricSample verbatim, so server, client and renderers share one
+/// record type.
 struct MetricsRespBody {
   std::uint32_t total = 0;  ///< metrics in the full scrape
   std::uint32_t start = 0;  ///< index of metrics.front() in that scrape
-  std::uint32_t node = kNoNodeId;  ///< answering node's id (v1.5)
+  std::uint32_t node = kNoNodeId;  ///< answering node's id
   std::vector<obs::MetricSample> metrics;
 };
 
-/// Wire bytes one metric record occupies inside a kMetrics response —
-/// the server's pagination arithmetic (names longer than 255 bytes are
-/// truncated on encode and sized as truncated here).
+/// Wire bytes one metric record occupies — the server's pagination
+/// arithmetic.
 std::size_t metrics_record_wire_size(const obs::MetricSample& m) noexcept;
 
-/// kTraceDump request body (v1.4): first record index wanted.
-struct TraceDumpReqBody {
-  std::uint32_t start = 0;
-};
-
-/// kTraceDump response body: one page of the node's flight-recorder
-/// snapshot, newest records first. `records` reuses obs::TraceRecord so
-/// server, client and the stitcher share one record type.
+/// One page of the node's flight-recorder snapshot, newest records first.
 struct TraceDumpRespBody {
   std::uint32_t total = 0;  ///< records in the full snapshot
   std::uint32_t start = 0;  ///< index of records.front() in that snapshot
@@ -363,40 +278,30 @@ struct TraceDumpRespBody {
   std::vector<obs::TraceRecord> records;
 };
 
-/// Fixed wire bytes of one kTraceDump record:
-/// ts(8) | thread(4) | event(1) | a(8) | b(8) | trace_lo(8) | trace_hi(8).
+/// Fixed wire bytes of one TRACE_DUMP record.
 inline constexpr std::size_t kTraceRecordWireBytes = 45;
 
-/// One firing rule inside a kHealth response. `status` matches
-/// obs::Health's numeric values (1 degraded, 2 critical — ok rules stay
-/// off the wire). Name and reason are capped at 255 bytes on encode.
+/// One firing rule inside a HEALTH answer. `status` matches obs::Health's
+/// numeric values. Name and reason are capped at 255 bytes on encode.
 struct HealthRuleWire {
   std::uint8_t status = 0;
   std::string name;
   std::string reason;
 };
 
-/// kHealth response body.
 struct HealthRespBody {
-  std::uint8_t overall = 0;       ///< obs::Health numeric value
-  std::uint64_t ticks = 0;        ///< sampler evaluations so far
-  std::uint8_t rules_total = 0;   ///< registered rules (firing + ok)
+  std::uint8_t overall = 0;      ///< obs::Health numeric value
+  std::uint64_t ticks = 0;       ///< sampler evaluations so far
+  std::uint8_t rules_total = 0;  ///< registered rules (firing + ok)
   std::vector<HealthRuleWire> firing;
 };
 
-/// kRead request body (v1.6): point read of `key`'s latest applied
-/// position. `min_index` is the caller's session floor (see the protocol
-/// comment); 0 asks for whatever the answering replica can prove.
 struct ReadReqBody {
   WireGroupId gid = 0;
   std::uint64_t key = 0;        ///< command value looked up
   std::uint64_t min_index = 0;  ///< read-your-writes floor (0 = none)
 };
 
-/// kRead response body (v1.6). `index` is the key's latest applied
-/// position plus one (0 = the key was never applied); `commit_index` is
-/// the answering replica's applied length; leader/epoch are the redirect
-/// hint on kNotLeader and the fencing context otherwise.
 struct ReadRespBody {
   WireGroupId gid = 0;
   std::uint64_t key = 0;
@@ -406,15 +311,12 @@ struct ReadRespBody {
   std::uint64_t epoch = 0;
 };
 
-/// kMetricsWatch response body: the sampler period the subscriber will
-/// see ticks at (0 on kUnsupported — no sampler running).
 struct MetricsWatchRespBody {
-  std::uint32_t period_ms = 0;
+  std::uint32_t period_ms = 0;  ///< sampler period (0 on kUnsupported)
 };
 
-/// kMetricsEvent push body: one page of one sampler tick. Pages of a
-/// tick share `tick`/`total`/`health`; `start` + metrics.size() reaching
-/// `total` completes the tick (record format shared with kMetrics).
+/// One page of one sampler tick. Pages of a tick share `tick`, `total`
+/// and `health`; start + metrics.size() reaching total completes it.
 struct MetricsEventBody {
   std::uint64_t tick = 0;
   std::uint8_t health = 0;  ///< overall obs::Health at this tick
@@ -423,62 +325,50 @@ struct MetricsEventBody {
   std::vector<obs::MetricSample> metrics;
 };
 
-/// A decoded frame: header plus whichever body the type carries. Bodies
-/// the type does not use stay default-initialized. For kAppend/kReadLog
-/// both the request and the response interpretation are filled when the
-/// body is long enough (role-based decode — see the protocol comment).
-struct Frame {
+/// A decoded request: the header plus the one body its type carries.
+/// std::monostate stands for the empty bodies (PING, HEALTH,
+/// METRICS_WATCH) and for types this version does not know.
+struct Request {
   FrameHeader header;
-  ViewBody view;    ///< kLeader/kWatch/kUnwatch (gid only in requests)
-  StatsBody stats;  ///< kStats responses
-  AppendReqBody append_req;    ///< kAppend requests (body >= 32 bytes)
-  AppendRespBody append_resp;  ///< kAppend responses (body >= 28 bytes)
-  ReadLogReqBody readlog_req;    ///< kReadLog requests
-  ReadLogRespBody readlog_resp;  ///< kReadLog responses
-  CommitBody commit;  ///< kCommitWatch responses / kCommitEvent pushes
-  RegHelloBody reg_hello;      ///< kRegHello
-  RegPushBody reg_push;        ///< kRegPush
-  RegAckBody reg_ack;          ///< kRegAck
-  SessionOpenBody session;     ///< kSessionOpen (role-based)
-  MetricsReqBody metrics_req;    ///< kMetrics requests (4-byte body)
-  MetricsRespBody metrics_resp;  ///< kMetrics responses (>= 12 bytes)
-  TraceDumpReqBody trace_req;    ///< kTraceDump requests (4-byte body)
-  TraceDumpRespBody trace_resp;  ///< kTraceDump responses (>= 20 bytes)
-  HealthRespBody health_resp;    ///< kHealth responses (>= 11 bytes)
-  MetricsWatchRespBody metrics_watch;  ///< kMetricsWatch responses
-  MetricsEventBody metrics_event;      ///< kMetricsEvent pushes
-  ReadReqBody read_req;    ///< kRead requests (24-byte body)
-  ReadRespBody read_resp;  ///< kRead responses (>= 44 bytes)
-  bool has_body = false;        ///< a typed body was present
-  bool has_append_req = false;  ///< body long enough for AppendReqBody
-  bool has_readlog_req = false;  ///< body long enough for ReadLogReqBody
-  bool has_read_req = false;   ///< body parsed as a kRead request
-  bool has_read_resp = false;  ///< body parsed as a kRead response
-  bool has_metrics_resp = false;  ///< body parsed as a metrics page
-  bool has_trace_resp = false;    ///< body parsed as a trace-dump page
-  bool has_health_resp = false;   ///< body parsed as a health response
-  bool has_metrics_event = false;  ///< body parsed as a metrics push
+  std::variant<std::monostate, GidBody, AppendReqBody, ReadLogReqBody,
+               RegHelloBody, RegPushBody, SessionOpenReqBody, PageReqBody,
+               ReadReqBody>
+      body;
+};
+
+/// A decoded response or push, shaped like Request (std::monostate for
+/// PING and unknown types).
+struct Response {
+  FrameHeader header;
+  std::variant<std::monostate, GidBody, ViewBody, AppendRespBody,
+               ReadLogRespBody, CommitBody, RegHelloBody, RegAckBody,
+               SessionOpenRespBody, MetricsRespBody, TraceDumpRespBody,
+               HealthRespBody, MetricsWatchRespBody, MetricsEventBody,
+               ReadRespBody>
+      body;
 };
 
 // --- encoding --------------------------------------------------------------
 // Encoders append one complete frame (length prefix included) to `out`,
 // so a caller can batch several frames into one write buffer.
 
+/// A request whose body is a gid (LEADER, WATCH, UNWATCH, COMMIT_WATCH,
+/// COMMIT_UNWATCH) or empty (PING, HEALTH, METRICS_WATCH: no gid).
 void encode_request(std::vector<std::uint8_t>& out, MsgType type,
                     std::uint64_t req_id, std::optional<WireGroupId> gid);
 
+/// LEADER/WATCH answers and EVENT pushes (req_id 0).
 void encode_view_frame(std::vector<std::uint8_t>& out, MsgType type,
                        Status status, std::uint64_t req_id,
                        const ViewBody& view);
 
+/// A header-only answer: PING, or kUnsupported for an unknown type.
 void encode_simple_response(std::vector<std::uint8_t>& out, MsgType type,
                             Status status, std::uint64_t req_id);
 
+/// UNWATCH/COMMIT_UNWATCH answers.
 void encode_gid_response(std::vector<std::uint8_t>& out, MsgType type,
                          Status status, std::uint64_t req_id, WireGroupId gid);
-
-void encode_stats_response(std::vector<std::uint8_t>& out,
-                           std::uint64_t req_id, const StatsBody& stats);
 
 void encode_append_request(std::vector<std::uint8_t>& out,
                            std::uint64_t req_id, const AppendReqBody& body);
@@ -489,87 +379,75 @@ void encode_append_response(std::vector<std::uint8_t>& out, Status status,
 void encode_readlog_request(std::vector<std::uint8_t>& out,
                             std::uint64_t req_id, const ReadLogReqBody& body);
 
-/// `entries` capped by the caller (kMaxLogEntries keeps the frame far
-/// under kMaxPayloadBytes).
-void encode_readlog_response(std::vector<std::uint8_t>& out,
+/// `entries` holds at most kMaxLogEntries (empty for error answers).
+void encode_readlog_response(std::vector<std::uint8_t>& out, Status status,
                              std::uint64_t req_id, WireGroupId gid,
                              std::uint64_t commit_index,
                              const std::vector<std::uint64_t>& entries);
 
-/// kCommitWatch response carrying the commit-index snapshot.
+/// COMMIT_WATCH answer carrying the commit-index snapshot.
 void encode_commit_snapshot(std::vector<std::uint8_t>& out, Status status,
                             std::uint64_t req_id, WireGroupId gid,
                             std::uint64_t commit_index);
 
-/// kCommitEvent push (req_id 0, like kEvent). `trace` is the append's
-/// v1.4 trace id (0 when the entry was not client-traced).
+/// COMMIT_EVENT push (req_id 0).
 void encode_commit_event(std::vector<std::uint8_t>& out, WireGroupId gid,
                          std::uint64_t index, std::uint64_t value,
                          std::uint64_t trace = 0);
 
-/// kRegHello request (node = the dialling node's id) or response
-/// (status + the answering node's id).
+/// REG_HELLO request (the dialling node's id) or answer (status + the
+/// accepting node's id).
 void encode_reg_hello(std::vector<std::uint8_t>& out, Status status,
                       std::uint64_t req_id, std::uint32_t node);
 
-/// kRegPush one-way frame; `cells` must hold at most kMaxPushCells.
+/// REG_PUSH one-way frame; `count` must be in [1, kMaxPushCells].
 void encode_reg_push(std::vector<std::uint8_t>& out, WireGroupId gid,
-                     std::uint64_t seq,
-                     const RegCellUpdate* cells, std::uint32_t count);
+                     std::uint64_t seq, const RegCellUpdate* cells,
+                     std::uint32_t count);
 
-/// kRegAck one-way frame.
 void encode_reg_ack(std::vector<std::uint8_t>& out, std::uint64_t seq);
 
-/// kSessionOpen request (client) / response (ttl_us) — same layout.
-void encode_session_open(std::vector<std::uint8_t>& out, Status status,
-                         std::uint64_t req_id, WireGroupId gid,
-                         std::uint64_t client_or_ttl);
+void encode_session_open_request(std::vector<std::uint8_t>& out,
+                                 std::uint64_t req_id,
+                                 const SessionOpenReqBody& body);
 
-/// kMetrics request (v1.3).
-void encode_metrics_request(std::vector<std::uint8_t>& out,
-                            std::uint64_t req_id,
-                            const MetricsReqBody& body);
+void encode_session_open_response(std::vector<std::uint8_t>& out,
+                                  Status status, std::uint64_t req_id,
+                                  const SessionOpenRespBody& body);
 
-/// kMetrics response page; the caller sizes the page with
-/// metrics_record_wire_size so the frame stays inside kMaxPayloadBytes.
+/// METRICS or TRACE_DUMP request for the page starting at `start`.
+void encode_page_request(std::vector<std::uint8_t>& out, MsgType type,
+                         std::uint64_t req_id, std::uint32_t start);
+
+/// METRICS answer page; the caller sizes it with metrics_record_wire_size
+/// so the frame stays inside kMaxPayloadBytes.
 void encode_metrics_response(std::vector<std::uint8_t>& out, Status status,
                              std::uint64_t req_id,
                              const MetricsRespBody& body);
 
-/// kTraceDump request (v1.4).
-void encode_trace_dump_request(std::vector<std::uint8_t>& out,
-                               std::uint64_t req_id,
-                               const TraceDumpReqBody& body);
-
-/// kTraceDump response page; records are fixed-size, so the caller caps
-/// the page at (kMaxPayloadBytes - kHeaderBytes - 20) / 45 records.
+/// TRACE_DUMP answer page; the caller caps it at (kMaxPayloadBytes -
+/// kHeaderBytes - 20) / kTraceRecordWireBytes records.
 void encode_trace_dump_response(std::vector<std::uint8_t>& out,
                                 Status status, std::uint64_t req_id,
                                 const TraceDumpRespBody& body);
 
-/// kHealth response (v1.5). Rule names and reasons longer than 255
-/// bytes are truncated on encode; the frame must stay inside
-/// kMaxPayloadBytes (the rule set is small by construction).
+/// HEALTH answer; the frame must stay inside kMaxPayloadBytes (the rule
+/// set is small by construction).
 void encode_health_response(std::vector<std::uint8_t>& out, Status status,
                             std::uint64_t req_id,
                             const HealthRespBody& body);
 
-/// kMetricsWatch response (v1.5).
 void encode_metrics_watch_response(std::vector<std::uint8_t>& out,
                                    Status status, std::uint64_t req_id,
                                    std::uint32_t period_ms);
 
-/// kMetricsEvent push (req_id 0, v1.5); the caller sizes the page with
-/// metrics_record_wire_size so the frame stays inside kMaxPayloadBytes.
+/// METRICS_EVENT push (req_id 0); sized like a METRICS page.
 void encode_metrics_event(std::vector<std::uint8_t>& out,
                           const MetricsEventBody& body);
 
-/// kRead request (v1.6).
 void encode_read_request(std::vector<std::uint8_t>& out, std::uint64_t req_id,
                          const ReadReqBody& body);
 
-/// kRead response (v1.6); the body is emitted in full (44 bytes) for
-/// every status so the role-based length rule stays single-valued.
 void encode_read_response(std::vector<std::uint8_t>& out, Status status,
                           std::uint64_t req_id, const ReadRespBody& body);
 
@@ -577,17 +455,19 @@ void encode_read_response(std::vector<std::uint8_t>& out, Status status,
 
 enum class DecodeResult {
   kOk,
-  kBadMagic,     ///< wrong magic or version byte
-  kBadLength,    ///< payload shorter than the fixed header
-  kBadBody,      ///< body too short for the declared type
+  kBadMagic,   ///< wrong magic or version byte
+  kBadLength,  ///< payload shorter than the fixed header
+  kBadBody,    ///< body is not the layout of its (type, role)
 };
 
-/// Decodes one payload (the bytes after the length prefix) into `out`.
-/// Trailing bytes beyond the recognized body are ignored (forward
-/// compatibility); unknown types decode with has_body=false so the server
-/// can answer kUnsupported instead of dropping the connection.
-DecodeResult decode_payload(const std::uint8_t* data, std::size_t len,
-                            Frame& out);
+/// Decodes one payload (the bytes after the length prefix) read by the
+/// serving side of a connection.
+DecodeResult decode_request(const std::uint8_t* data, std::size_t len,
+                            Request& out);
+
+/// Decodes one payload read by the requesting side of a connection.
+DecodeResult decode_response(const std::uint8_t* data, std::size_t len,
+                             Response& out);
 
 /// Incremental stream reassembler: feed() raw TCP bytes, then drain
 /// complete payloads with next(). Rejects oversized length prefixes.

@@ -34,12 +34,6 @@ std::int64_t steady_ns() {
       .count();
 }
 
-std::uint64_t load_u64le(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
 /// Metric-name suffix per wire type byte (index 0 = unknown fallback).
 const char* frame_metric_name(std::size_t type) {
   switch (static_cast<MsgType>(type)) {
@@ -47,7 +41,6 @@ const char* frame_metric_name(std::size_t type) {
     case MsgType::kWatch: return "net.frames.watch";
     case MsgType::kUnwatch: return "net.frames.unwatch";
     case MsgType::kPing: return "net.frames.ping";
-    case MsgType::kStats: return "net.frames.stats";
     case MsgType::kEvent: return "net.frames.event";
     case MsgType::kAppend: return "net.frames.append";
     case MsgType::kReadLog: return "net.frames.read_log";
@@ -66,6 +59,39 @@ const char* frame_metric_name(std::size_t type) {
     case MsgType::kRead: return "net.frames.read";
     default: return "net.frames.other";
   }
+}
+
+/// The wire status an append completion answers with.
+Status append_status(smr::AppendOutcome outcome) {
+  switch (outcome) {
+    case smr::AppendOutcome::kCommitted: return Status::kOk;
+    case smr::AppendOutcome::kStaleSeq: return Status::kStaleSeq;
+    case smr::AppendOutcome::kLogFull: return Status::kLogFull;
+    case smr::AppendOutcome::kBadCommand: return Status::kBadRequest;
+    case smr::AppendOutcome::kSessionEvicted: return Status::kSessionEvicted;
+    // The log went away under us.
+    case smr::AppendOutcome::kAborted: return Status::kUnknownGroup;
+    // Accepted while this node led, never sealed here: the leader hint
+    // names the node to retry against.
+    case smr::AppendOutcome::kNotLeader: return Status::kNotLeader;
+    // Completions never fire with kAccepted; like a full queue, it asks
+    // the client to retry.
+    case smr::AppendOutcome::kAccepted:
+    case smr::AppendOutcome::kQueueFull: return Status::kOverloaded;
+  }
+  return Status::kOverloaded;
+}
+
+/// End of the page of `samples` starting at `start` that fits the payload
+/// cap behind `fixed_bytes` of header and fixed body.
+std::size_t metrics_page_end(const std::vector<obs::MetricSample>& samples,
+                             std::size_t start, std::size_t fixed_bytes) {
+  std::size_t end = start;
+  for (std::size_t bytes = fixed_bytes; end < samples.size(); ++end) {
+    bytes += metrics_record_wire_size(samples[end]);
+    if (bytes > kMaxPayloadBytes) break;
+  }
+  return end;
 }
 
 /// Process-level health rules owned by the net layer: descriptor and
@@ -157,23 +183,18 @@ LeaderServer::LeaderServer(svc::MultiGroupLeaderService& service,
           page.tick = tick_no;
           page.health = static_cast<std::uint8_t>(report.overall);
           page.total = static_cast<std::uint32_t>(scrape.size());
-          page.start = 0;
-          std::size_t bytes = kHeaderBytes + 21;  // fixed body prefix
-          for (std::size_t i = 0; i < scrape.size(); ++i) {
-            const std::size_t sz = metrics_record_wire_size(scrape[i]);
-            if (bytes + sz > kMaxPayloadBytes) {
-              encode_metrics_event(*frames, page);
-              page.metrics.clear();
-              page.start = static_cast<std::uint32_t>(i);
-              bytes = kHeaderBytes + 21;
-            }
-            page.metrics.push_back(scrape[i]);
-            bytes += sz;
-          }
-          // The final (or only, possibly metric-less) page still carries
-          // the tick number and health byte — a heartbeat even when the
-          // registry is empty.
-          encode_metrics_event(*frames, page);
+          // At least one page, even metric-less: it carries the tick
+          // number and health byte — a heartbeat when the registry is
+          // empty.
+          std::size_t start = 0;
+          do {
+            const std::size_t end =
+                metrics_page_end(scrape, start, kHeaderBytes + 21);
+            page.start = static_cast<std::uint32_t>(start);
+            page.metrics.assign(scrape.begin() + start, scrape.begin() + end);
+            encode_metrics_event(*frames, page);
+            start = end;
+          } while (start < scrape.size());
           hub_->publish_metrics(std::move(frames));
         });
   }
@@ -295,21 +316,6 @@ NetServerStats LeaderServer::stats() const {
   }
   s.connections = open_connections_.load(std::memory_order_relaxed);
   return s;
-}
-
-StatsBody LeaderServer::stats_body() const {
-  const NetServerStats s = stats();
-  StatsBody b;
-  b.connections = s.connections;
-  b.queries = s.queries;
-  b.watches = s.watches;
-  b.events = s.events;
-  b.groups = service_.num_groups();
-  b.io_threads = cfg_.io_threads;
-  b.appends = s.appends;
-  b.commit_events = s.commit_events;
-  b.log_reads = s.log_reads;
-  return b;
 }
 
 void LeaderServer::on_accept() {
@@ -461,6 +467,7 @@ void LeaderServer::on_io(std::uint32_t loop_idx, int fd,
   constexpr std::size_t kReadBudget = 256 * 1024;
   std::size_t drained = 0;
   std::uint8_t buf[16 * 1024];
+  Request req;
   for (;;) {
     const ssize_t n = ::recv(c.fd, buf, sizeof buf, 0);
     if (n > 0) {
@@ -468,30 +475,12 @@ void LeaderServer::on_io(std::uint32_t loop_idx, int fd,
       const std::uint8_t* payload = nullptr;
       std::size_t len = 0;
       while (c.in.next(payload, len)) {
-        // v1.6 point-read fast path: at memory-speed read rates, a Frame
-        // (a dozen vector members) per request dominates the dispatch
-        // cost. The canonical READ request is a fixed 24-byte body, so
-        // parse it in place; anything non-canonical (trailing bytes,
-        // short body) falls through to the decoded slow path.
-        if (len == kHeaderBytes + 24 && payload[0] == kMagic &&
-            payload[1] == kVersion &&
-            payload[2] == static_cast<std::uint8_t>(MsgType::kRead)) {
-          frame_counters_[static_cast<std::size_t>(MsgType::kRead)]->add();
-          ReadReqBody req;
-          req.gid = load_u64le(payload + kHeaderBytes);
-          req.key = load_u64le(payload + kHeaderBytes + 8);
-          req.min_index = load_u64le(payload + kHeaderBytes + 16);
-          if (!handle_read(l, c, load_u64le(payload + 4), req)) return;
-          continue;
-        }
-        Frame frame;
-        const DecodeResult r = decode_payload(payload, len, frame);
-        if (r != DecodeResult::kOk) {
+        if (decode_request(payload, len, req) != DecodeResult::kOk) {
           l.counters.protocol_errors.fetch_add(1, std::memory_order_relaxed);
           close_connection(l, c);
           return;
         }
-        if (!handle_frame(l, c, frame)) return;
+        if (!handle_frame(l, c, req)) return;
       }
       if (c.in.corrupt()) {
         l.counters.protocol_errors.fetch_add(1, std::memory_order_relaxed);
@@ -524,29 +513,28 @@ void LeaderServer::on_io(std::uint32_t loop_idx, int fd,
   flush(l, c);
 }
 
-bool LeaderServer::handle_frame(Loop& l, Connection& c, const Frame& frame) {
-  const std::uint64_t id = frame.header.req_id;
-  const auto type_byte =
-      static_cast<std::size_t>(frame.header.type);
+bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
+  const std::uint64_t id = req.header.req_id;
+  const auto type_byte = static_cast<std::size_t>(req.header.type);
   frame_counters_[type_byte < kFrameCounterSlots ? type_byte : 0]->add();
-  // decode_payload guarantees a gid body for the three group-addressed
-  // types (a short body is kBadBody and closed the connection in on_io),
-  // so frame.view.gid is always valid below.
-  switch (frame.header.type) {
+  // decode_request matched the body to the type, so each case reads the
+  // one alternative its type carries.
+  switch (req.header.type) {
     case MsgType::kLeader: {
+      const WireGroupId gid = std::get<GidBody>(req.body).gid;
       l.counters.queries.fetch_add(1, std::memory_order_relaxed);
       svc::LeaderView view;
-      if (!service_.try_leader(frame.view.gid, view)) {
-        encode_gid_response(c.out, MsgType::kLeader, Status::kUnknownGroup,
-                            id, frame.view.gid);
+      if (!service_.try_leader(gid, view)) {
+        encode_view_frame(c.out, MsgType::kLeader, Status::kUnknownGroup, id,
+                          ViewBody{gid});
         return true;
       }
       encode_view_frame(c.out, MsgType::kLeader, Status::kOk, id,
-                        ViewBody{frame.view.gid, view.leader, view.epoch});
+                        ViewBody{gid, view.leader, view.epoch});
       return true;
     }
     case MsgType::kWatch: {
-      const svc::GroupId gid = frame.view.gid;
+      const svc::GroupId gid = std::get<GidBody>(req.body).gid;
       // Subscribe *before* reading the snapshot so a concurrent epoch
       // change is never lost (it may be duplicated; clients dedupe).
       const bool fresh = c.watches.insert(gid).second;
@@ -561,8 +549,8 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Frame& frame) {
           drop_watch(l, c, gid);
           c.watches.erase(gid);
         }
-        encode_gid_response(c.out, MsgType::kWatch, Status::kUnknownGroup,
-                            id, gid);
+        encode_view_frame(c.out, MsgType::kWatch, Status::kUnknownGroup, id,
+                          ViewBody{gid});
         return true;
       }
       encode_view_frame(c.out, MsgType::kWatch, Status::kOk, id,
@@ -570,7 +558,7 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Frame& frame) {
       return true;
     }
     case MsgType::kUnwatch: {
-      const svc::GroupId gid = frame.view.gid;
+      const svc::GroupId gid = std::get<GidBody>(req.body).gid;
       if (c.watches.erase(gid) > 0) drop_watch(l, c, gid);
       encode_gid_response(c.out, MsgType::kUnwatch, Status::kOk, id, gid);
       return true;
@@ -578,24 +566,16 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Frame& frame) {
     case MsgType::kPing:
       encode_simple_response(c.out, MsgType::kPing, Status::kOk, id);
       return true;
-    case MsgType::kStats:
-      encode_stats_response(c.out, id, stats_body());
-      return true;
     case MsgType::kAppend: {
+      const AppendReqBody& a = std::get<AppendReqBody>(req.body);
       AppendRespBody resp;
-      resp.gid = frame.append_resp.gid;
+      resp.gid = a.gid;
       if (smr_ == nullptr) {
         encode_append_response(c.out, Status::kUnsupported, id, resp);
         return true;
       }
-      if (!frame.has_append_req) {
-        encode_append_response(c.out, Status::kBadRequest, id, resp);
-        return true;
-      }
-      const AppendReqBody& req = frame.append_req;
-      resp.gid = req.gid;
       svc::LeaderView view;
-      if (!service_.try_leader(req.gid, view) || !smr_->has_log(req.gid)) {
+      if (!service_.try_leader(a.gid, view) || !smr_->has_log(a.gid)) {
         encode_append_response(c.out, Status::kUnknownGroup, id, resp);
         return true;
       }
@@ -608,7 +588,7 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Frame& frame) {
         encode_append_response(c.out, Status::kNotLeader, id, resp);
         return true;
       }
-      if (!smr_->hosts_replica(req.gid, view.leader)) {
+      if (!smr_->hosts_replica(a.gid, view.leader)) {
         // Multi-node deployment and the elected leader lives on another
         // node: redirect with the hint (the pid maps to a node in the
         // client's topology) instead of queueing a command this node's
@@ -617,8 +597,7 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Frame& frame) {
         return true;
       }
       l.counters.appends.fetch_add(1, std::memory_order_relaxed);
-      obs::trace(obs::TraceEvent::kAppendEnqueue, req.gid, req.client,
-                 req.trace);
+      obs::trace(obs::TraceEvent::kAppendEnqueue, a.gid, a.client, a.trace);
       // Asynchronous completion: park (loop, fd, serial, req_id) in the
       // callback; the owning shard worker fires it at commit and it lands
       // the acknowledgement in this loop's mailbox (batched wakeup). The
@@ -629,9 +608,9 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Frame& frame) {
       ack.fd = c.fd;
       ack.serial = c.serial;
       ack.req_id = id;
-      ack.gid = req.gid;
-      ack.trace = req.trace;
-      smr_->append(req.gid, req.client, req.seq, req.command,
+      ack.gid = a.gid;
+      ack.trace = a.trace;
+      smr_->append(a.gid, a.client, a.seq, a.command,
                    [sink, loop_idx, ack](smr::AppendOutcome outcome,
                                          std::uint64_t index) mutable {
                      std::lock_guard<std::mutex> lock(sink->mu);
@@ -641,36 +620,27 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Frame& frame) {
                      ack.index = index;
                      s->enqueue_ack(loop_idx, ack);
                    },
-                   req.trace);
+                   a.trace);
       return true;
     }
     case MsgType::kReadLog: {
-      const WireGroupId gid = frame.readlog_req.gid;
-      if (smr_ == nullptr) {
-        encode_gid_response(c.out, MsgType::kReadLog, Status::kUnsupported,
-                            id, gid);
-        return true;
-      }
-      if (!frame.has_readlog_req) {  // gid-only body: truncated request
-        encode_gid_response(c.out, MsgType::kReadLog, Status::kBadRequest,
-                            id, gid);
-        return true;
-      }
+      const ReadLogReqBody& r = std::get<ReadLogReqBody>(req.body);
       smr::LogGroup::Snapshot snap;
-      const std::uint32_t max =
-          std::min<std::uint32_t>(frame.readlog_req.max, kMaxLogEntries);
-      if (!smr_->read_log(gid, frame.readlog_req.from, max, snap)) {
-        encode_gid_response(c.out, MsgType::kReadLog, Status::kUnknownGroup,
-                            id, gid);
-        return true;
+      Status status = Status::kOk;
+      if (smr_ == nullptr) {
+        status = Status::kUnsupported;
+      } else if (!smr_->read_log(r.gid, r.from,
+                                 std::min(r.max, kMaxLogEntries), snap)) {
+        status = Status::kUnknownGroup;
+      } else {
+        l.counters.log_reads.fetch_add(1, std::memory_order_relaxed);
       }
-      l.counters.log_reads.fetch_add(1, std::memory_order_relaxed);
-      encode_readlog_response(c.out, id, gid, snap.commit_index,
+      encode_readlog_response(c.out, status, id, r.gid, snap.commit_index,
                               snap.entries);
       return true;
     }
     case MsgType::kCommitWatch: {
-      const svc::GroupId gid = frame.commit.gid;
+      const svc::GroupId gid = std::get<GidBody>(req.body).gid;
       if (smr_ == nullptr || !smr_->has_log(gid)) {
         encode_commit_snapshot(c.out,
                                smr_ == nullptr ? Status::kUnsupported
@@ -691,25 +661,26 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Frame& frame) {
       return true;
     }
     case MsgType::kCommitUnwatch: {
-      const svc::GroupId gid = frame.commit.gid;
+      const svc::GroupId gid = std::get<GidBody>(req.body).gid;
       if (c.commit_watches.erase(gid) > 0) drop_commit_watch(l, c, gid);
       encode_gid_response(c.out, MsgType::kCommitUnwatch, Status::kOk, id,
                           gid);
       return true;
     }
     case MsgType::kSessionOpen: {
-      const WireGroupId gid = frame.session.gid;
-      if (smr_ == nullptr) {
-        encode_session_open(c.out, Status::kUnsupported, id, gid, 0);
-        return true;
-      }
+      const SessionOpenReqBody& s = std::get<SessionOpenReqBody>(req.body);
+      SessionOpenRespBody resp;
+      resp.gid = s.gid;
+      Status status = Status::kOk;
       std::int64_t ttl_us = 0;
-      if (!smr_->open_session(gid, frame.session.client, ttl_us)) {
-        encode_session_open(c.out, Status::kUnknownGroup, id, gid, 0);
-        return true;
+      if (smr_ == nullptr) {
+        status = Status::kUnsupported;
+      } else if (!smr_->open_session(s.gid, s.client, ttl_us)) {
+        status = Status::kUnknownGroup;
+      } else {
+        resp.ttl_us = static_cast<std::uint64_t>(ttl_us);
       }
-      encode_session_open(c.out, Status::kOk, id, gid,
-                          static_cast<std::uint64_t>(ttl_us));
+      encode_session_open_response(c.out, status, id, resp);
       return true;
     }
     case MsgType::kMetrics: {
@@ -722,15 +693,12 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Frame& frame) {
       MetricsRespBody resp;
       resp.node = cfg_.node_id;
       resp.total = static_cast<std::uint32_t>(samples.size());
-      resp.start = std::min<std::uint32_t>(frame.metrics_req.start,
-                                           resp.total);
-      std::size_t bytes = kHeaderBytes + 12 + 4;  // + the v1.5 node trailer
-      for (std::size_t i = resp.start; i < samples.size(); ++i) {
-        const std::size_t sz = metrics_record_wire_size(samples[i]);
-        if (bytes + sz > kMaxPayloadBytes) break;
-        bytes += sz;
-        resp.metrics.push_back(samples[i]);
-      }
+      resp.start =
+          std::min(std::get<PageReqBody>(req.body).start, resp.total);
+      const std::size_t end =
+          metrics_page_end(samples, resp.start, kHeaderBytes + 12 + 4);
+      resp.metrics.assign(samples.begin() + resp.start,
+                          samples.begin() + end);
       encode_metrics_response(c.out, Status::kOk, id, resp);
       return true;
     }
@@ -743,7 +711,8 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Frame& frame) {
       const std::vector<obs::TraceRecord> snap = obs::snapshot_trace();
       TraceDumpRespBody resp;
       resp.total = static_cast<std::uint32_t>(snap.size());
-      resp.start = std::min<std::uint32_t>(frame.trace_req.start, resp.total);
+      resp.start =
+          std::min(std::get<PageReqBody>(req.body).start, resp.total);
       resp.realtime_offset_ns = obs::realtime_offset_ns();
       constexpr std::uint32_t kPage = static_cast<std::uint32_t>(
           (kMaxPayloadBytes - kHeaderBytes - 20) / kTraceRecordWireBytes);
@@ -800,43 +769,29 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Frame& frame) {
                                     cfg_.sample_period_ms);
       return true;
     }
-    case MsgType::kRead: {
-      // Reached only for non-canonical encodings (trailing bytes, or a
-      // response-length body sent as a request) — the canonical 24-byte
-      // request was already consumed by on_io's fast path.
-      if (!frame.has_read_req) {
-        ReadRespBody resp;
-        resp.gid = frame.read_req.gid;
-        resp.key = frame.read_req.key;
-        encode_read_response(c.out, Status::kBadRequest, id, resp);
-        return true;
-      }
-      return handle_read(l, c, id, frame.read_req);
-    }
-    case MsgType::kEvent:
-    case MsgType::kCommitEvent:
-    case MsgType::kMetricsEvent:
-      // Pushes are strictly server -> client; a peer sending one is
-      // broken, and echoing the type back would emit a body-less push our
-      // own decoder rejects. Treat it as a protocol violation.
+    case MsgType::kRead:
+      handle_read(l, c, id, std::get<ReadReqBody>(req.body));
+      return true;
+    case MsgType::kRegHello:
+    case MsgType::kRegPush:
+      // Mirror streams dial the MirrorTransport's own port, never this
+      // one; a peer sending them here is broken.
       l.counters.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       close_connection(l, c);
       return false;
     default:
-      encode_simple_response(c.out, frame.header.type, Status::kUnsupported,
+      encode_simple_response(c.out, req.header.type, Status::kUnsupported,
                              id);
       return true;
   }
 }
 
-bool LeaderServer::handle_read(Loop& l, Connection& c, std::uint64_t req_id,
+void LeaderServer::handle_read(Loop& l, Connection& c, std::uint64_t req_id,
                                const ReadReqBody& req) {
-  ReadRespBody resp;
-  resp.gid = req.gid;
-  resp.key = req.key;
+  ReadRespBody resp{req.gid, req.key};
   if (smr_ == nullptr) {
     encode_read_response(c.out, Status::kUnsupported, req_id, resp);
-    return true;
+    return;
   }
   svc::LeaderView view;
   smr::LogGroup::ReadAnswer answer;
@@ -866,56 +821,50 @@ bool LeaderServer::handle_read(Loop& l, Connection& c, std::uint64_t req_id,
             s->enqueue_ack(loop_idx, ack);
           })) {
     encode_read_response(c.out, Status::kUnknownGroup, req_id, resp);
-    return true;
+    return;
   }
   l.counters.point_reads.fetch_add(1, std::memory_order_relaxed);
   resp.leader = view.leader;
   resp.epoch = view.epoch;
   resp.index = answer.index;
   resp.commit_index = answer.commit_index;
+  Status status = Status::kOverloaded;
   switch (mode) {
     case smr::LogGroup::ReadMode::kLease:
-      encode_read_response(c.out, Status::kLeaseRead, req_id, resp);
-      return true;
+      status = Status::kLeaseRead;
+      break;
     case smr::LogGroup::ReadMode::kFallback:
-      encode_read_response(c.out, Status::kOk, req_id, resp);
-      return true;
+      status = Status::kOk;
+      break;
     case smr::LogGroup::ReadMode::kRefused:
       // Committed data rides along as a hint, but never with authority:
       // this node's cached self-view may be a deposed leader's.
-      encode_read_response(c.out, Status::kNotLeader, req_id, resp);
-      return true;
+      status = Status::kNotLeader;
+      break;
     case smr::LogGroup::ReadMode::kIndex:
-      encode_read_response(c.out, Status::kIndexRead, req_id, resp);
-      return true;
+      status = Status::kIndexRead;
+      break;
     case smr::LogGroup::ReadMode::kDefer:
-      return true;  // parked; the response rides the ack mailbox
+      return;  // parked; the response rides the ack mailbox
     case smr::LogGroup::ReadMode::kOverloaded:
-      encode_read_response(c.out, Status::kOverloaded, req_id, resp);
-      return true;
+      break;
   }
-  return true;
+  encode_read_response(c.out, status, req_id, resp);
 }
 
-void LeaderServer::fan_out(
-    Loop& l, WatcherMap& map, svc::GroupId gid,
-    std::atomic<std::uint64_t>& counter, std::uint64_t frames,
-    const std::function<void(std::vector<std::uint8_t>&)>& encode) {
-  const auto it = map.find(gid);
-  if (it == map.end()) return;  // last watcher left before delivery
+void LeaderServer::fan_out(Loop& l, const std::vector<Connection*>& targets,
+                           const std::function<void(Connection&)>& write) {
   // Snapshot fds, not pointers: flushing one target can close a
-  // connection (backpressure), and a freed sibling must be detected by
-  // key lookup, never by dereferencing its pointer.
+  // connection (backpressure) and unlink it from `targets`, and a freed
+  // sibling must be detected by key lookup, never by its pointer.
   std::vector<int> target_fds;
-  target_fds.reserve(it->second.size());
-  for (const Connection* c : it->second) target_fds.push_back(c->fd);
+  target_fds.reserve(targets.size());
+  for (const Connection* c : targets) target_fds.push_back(c->fd);
   for (const int fd : target_fds) {
     const auto cit = l.conns.find(fd);
     if (cit == l.conns.end()) continue;  // closed earlier in this delivery
-    Connection& c = *cit->second;
-    encode(c.out);
-    counter.fetch_add(frames, std::memory_order_relaxed);
-    flush(l, c);
+    write(*cit->second);
+    flush(l, *cit->second);
   }
 }
 
@@ -927,15 +876,18 @@ void LeaderServer::deliver_commit_batch(
   obs::trace(obs::TraceEvent::kCommitFanout, gid, first_index,
              traces.empty() ? 0 : traces.front(),
              traces.empty() ? 0 : traces.back());
+  const auto it = l.commit_watchers.find(gid);
+  if (it == l.commit_watchers.end()) return;  // last watcher left
   // The whole batch lands in each subscriber's buffer before its one
   // flush — a 64-command slot costs a watcher one syscall, not 64.
-  fan_out(l, l.commit_watchers, gid, l.counters.commit_events, values.size(),
-          [&](std::vector<std::uint8_t>& out) {
-            for (std::size_t i = 0; i < values.size(); ++i) {
-              encode_commit_event(out, gid, first_index + i, values[i],
-                                  i < traces.size() ? traces[i] : 0);
-            }
-          });
+  fan_out(l, it->second, [&](Connection& c) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      encode_commit_event(c.out, gid, first_index + i, values[i],
+                          i < traces.size() ? traces[i] : 0);
+    }
+    l.counters.commit_events.fetch_add(values.size(),
+                                       std::memory_order_relaxed);
+  });
 }
 
 void LeaderServer::enqueue_ack(std::uint32_t loop_idx, PendingAck ack) {
@@ -975,68 +927,25 @@ void LeaderServer::drain_acks(std::uint32_t loop_idx) {
     if (it == l.conns.end()) continue;  // connection died while waiting
     Connection& c = *it->second;
     if (c.serial != ack.serial) continue;  // fd recycled: different conn
+    // The leader hint is re-read at drain time, so the client routes off
+    // the freshest view this node has.
+    svc::LeaderView view;
+    service_.try_leader(ack.gid, view);
+    if (c.out.empty()) touched.push_back(ack.fd);
     if (ack.kind == PendingAck::Kind::kRead) {
-      // A deferred fence read resolved (v1.6): the status was decided at
-      // fire time, the leader hint is re-read so the client routes off
-      // the freshest view this node has.
-      ReadRespBody rresp;
-      rresp.gid = ack.gid;
-      rresp.key = ack.key;
-      rresp.index = ack.index;
-      rresp.commit_index = ack.commit_index;
-      svc::LeaderView view;
-      if (service_.try_leader(ack.gid, view)) {
-        rresp.leader = view.leader;
-        rresp.epoch = view.epoch;
-      }
-      if (c.out.empty()) touched.push_back(ack.fd);
-      encode_read_response(c.out, ack.read_status, ack.req_id, rresp);
+      // A deferred fence read resolved; its status was decided at fire
+      // time.
+      encode_read_response(c.out, ack.read_status, ack.req_id,
+                           ReadRespBody{ack.gid, ack.key, ack.index,
+                                        ack.commit_index, view.leader,
+                                        view.epoch});
       continue;
     }
-    AppendRespBody resp;
-    resp.gid = ack.gid;
-    resp.trace = ack.trace;
-    Status status = Status::kOk;
-    switch (ack.outcome) {
-      case smr::AppendOutcome::kCommitted:
-        resp.index = ack.index;
-        break;
-      case smr::AppendOutcome::kAccepted:
-        // Completions never fire with kAccepted; defensively treat it as
-        // a server error the client should retry.
-        status = Status::kOverloaded;
-        break;
-      case smr::AppendOutcome::kStaleSeq:
-        status = Status::kStaleSeq;
-        break;
-      case smr::AppendOutcome::kQueueFull:
-        status = Status::kOverloaded;
-        break;
-      case smr::AppendOutcome::kLogFull:
-        status = Status::kLogFull;
-        break;
-      case smr::AppendOutcome::kAborted:
-        status = Status::kUnknownGroup;  // the log went away under us
-        break;
-      case smr::AppendOutcome::kBadCommand:
-        status = Status::kBadRequest;
-        break;
-      case smr::AppendOutcome::kSessionEvicted:
-        status = Status::kSessionEvicted;
-        break;
-      case smr::AppendOutcome::kNotLeader:
-        // Accepted while this node led, never sealed here: the hint
-        // filled in below names the node to retry against.
-        status = Status::kNotLeader;
-        break;
-    }
-    svc::LeaderView view;
-    if (service_.try_leader(ack.gid, view)) {
-      resp.leader = view.leader;
-      resp.epoch = view.epoch;
-    }
-    if (c.out.empty()) touched.push_back(ack.fd);
-    encode_append_response(c.out, status, ack.req_id, resp);
+    const Status status = append_status(ack.outcome);
+    encode_append_response(
+        c.out, status, ack.req_id,
+        AppendRespBody{ack.gid, status == Status::kOk ? ack.index : 0,
+                       view.leader, view.epoch, ack.trace});
   }
   obs::trace(obs::TraceEvent::kAckFlush, l.ack_scratch.size(),
              touched.size());
@@ -1063,32 +972,23 @@ void LeaderServer::deliver_metrics(
     std::uint32_t loop_idx,
     std::shared_ptr<const std::vector<std::uint8_t>> bytes) {
   Loop& l = *loops_[loop_idx];
-  if (l.metrics_watchers.empty()) return;  // unsubscribed before delivery
-  // Same fd-snapshot discipline as fan_out: flushing one subscriber can
-  // close a sibling (backpressure), which must be detected by key lookup.
-  std::vector<int> target_fds;
-  target_fds.reserve(l.metrics_watchers.size());
-  for (const Connection* c : l.metrics_watchers) target_fds.push_back(c->fd);
-  for (const int fd : target_fds) {
-    const auto it = l.conns.find(fd);
-    if (it == l.conns.end()) continue;
-    Connection& c = *it->second;
-    if (!c.metrics_watch) continue;  // fd recycled by a non-subscriber
+  fan_out(l, l.metrics_watchers, [&](Connection& c) {
+    if (!c.metrics_watch) return;  // fd recycled by a non-subscriber
     c.out.insert(c.out.end(), bytes->begin(), bytes->end());
     frame_counters_[static_cast<std::size_t>(MsgType::kMetricsEvent)]->add();
-    flush(l, c);
-  }
+  });
 }
 
 void LeaderServer::deliver_event(std::uint32_t loop_idx, svc::GroupId gid,
                                  svc::LeaderView view) {
   Loop& l = *loops_[loop_idx];
-  fan_out(l, l.watchers, gid, l.counters.events, /*frames=*/1,
-          [&](std::vector<std::uint8_t>& out) {
-            encode_view_frame(out, MsgType::kEvent, Status::kOk,
-                              /*req_id=*/0,
-                              ViewBody{gid, view.leader, view.epoch});
-          });
+  const auto it = l.watchers.find(gid);
+  if (it == l.watchers.end()) return;  // last watcher left
+  fan_out(l, it->second, [&](Connection& c) {
+    encode_view_frame(c.out, MsgType::kEvent, Status::kOk, /*req_id=*/0,
+                      ViewBody{gid, view.leader, view.epoch});
+    l.counters.events.fetch_add(1, std::memory_order_relaxed);
+  });
 }
 
 }  // namespace omega::net

@@ -71,7 +71,8 @@ struct NetConfig {
   std::uint32_t node_id = kNoNodeId;
 };
 
-/// Aggregate server counters (see frame.h StatsBody for the wire form).
+/// Aggregate server counters (in-process; the wire exposes the
+/// `net.frames.<type>` metrics through METRICS instead).
 struct NetServerStats {
   std::uint64_t accepted = 0;
   std::uint64_t closed = 0;
@@ -211,12 +212,11 @@ class LeaderServer {
   void on_io(std::uint32_t loop_idx, int fd, std::uint32_t events);
   /// Returns false if the frame was a protocol violation and the
   /// connection was closed (the caller must stop touching `c`).
-  bool handle_frame(Loop& l, Connection& c, const Frame& frame);
-  /// READ (v1.6): shared by the decoded slow path and on_io's in-place
-  /// fast path (a fixed 24-byte request parsed without building a Frame).
-  /// Synchronous modes answer into c.out; a deferred fence read parks a
-  /// PendingAck{kRead} completion that rides the loop's ack mailbox.
-  bool handle_read(Loop& l, Connection& c, std::uint64_t req_id,
+  bool handle_frame(Loop& l, Connection& c, const Request& req);
+  /// READ: synchronous modes answer into c.out; a deferred fence read
+  /// parks a PendingAck{kRead} completion that rides the loop's ack
+  /// mailbox.
+  void handle_read(Loop& l, Connection& c, std::uint64_t req_id,
                    const ReadReqBody& req);
   void deliver_event(std::uint32_t loop_idx, svc::GroupId gid,
                      svc::LeaderView view);
@@ -248,23 +248,19 @@ class LeaderServer {
   /// decrements the watch gauge.
   void unlink_watcher(Loop& l, WatcherMap& map, Connection& c,
                       svc::GroupId gid);
-  /// Shared body of the two delivery paths: writes one `encode`d push
-  /// (which may hold several frames) to every connection in `map[gid]`,
-  /// bumping `counter` by `frames` per target — with the fd-snapshot
-  /// discipline (flushing one target can close a sibling, which must be
-  /// detected by key lookup, never by pointer).
-  void fan_out(Loop& l, WatcherMap& map, svc::GroupId gid,
-               std::atomic<std::uint64_t>& counter, std::uint64_t frames,
-               const std::function<void(std::vector<std::uint8_t>&)>& encode);
+  /// Shared body of the push deliveries: `write`s into every target's
+  /// buffer and flushes it, with the fd-snapshot discipline (flushing one
+  /// target can close a sibling, which must be detected by key lookup,
+  /// never by pointer).
+  void fan_out(Loop& l, const std::vector<Connection*>& targets,
+               const std::function<void(Connection&)>& write);
   /// Runs on the loop thread (posted by the hub's metrics channel): writes
   /// the shared pre-encoded METRICS_EVENT tick to every subscribed
-  /// connection on the loop, with the same fd-snapshot discipline as
-  /// fan_out.
+  /// connection on the loop.
   void deliver_metrics(std::uint32_t loop_idx,
                        std::shared_ptr<const std::vector<std::uint8_t>> bytes);
   /// Drops a connection's metrics-stream subscription (connection close).
   void drop_metrics_watch(Loop& l, Connection& c);
-  StatsBody stats_body() const;
 
   svc::MultiGroupLeaderService& service_;
   smr::SmrService* smr_ = nullptr;

@@ -27,6 +27,21 @@ constexpr std::size_t kMaxSentTimes = 65536;
 /// One in N pushed frames is time-stamped for the lag measurement.
 constexpr std::uint64_t kLagSampleEvery = 16;
 
+/// Reads a non-blocking socket dry into `in`; false once the peer closed
+/// or the read failed.
+bool read_available(int fd, FrameDecoder& in) {
+  std::uint8_t buf[16384];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n > 0) {
+      in.feed(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+}
+
 void set_tcp_nodelay(int fd) {
   int one = 1;
   (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
@@ -366,27 +381,15 @@ void MirrorTransport::on_peer_io(RegisterPeer& p, std::uint32_t events) {
     return;
   }
   if (events & EPOLLIN) {
-    std::uint8_t buf[4096];
-    for (;;) {
-      const ssize_t n = ::read(p.fd, buf, sizeof buf);
-      if (n > 0) {
-        p.in.feed(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        disconnect_peer(p);
-        return;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
+    if (!read_available(p.fd, p.in)) {
       disconnect_peer(p);
       return;
     }
     const std::uint8_t* payload = nullptr;
     std::size_t len = 0;
+    Response f;
     while (p.in.next(payload, len)) {
-      Frame f;
-      if (decode_payload(payload, len, f) != DecodeResult::kOk) {
+      if (decode_response(payload, len, f) != DecodeResult::kOk) {
         disconnect_peer(p);
         return;
       }
@@ -405,10 +408,11 @@ void MirrorTransport::on_peer_io(RegisterPeer& p, std::uint32_t events) {
   }
 }
 
-void MirrorTransport::handle_peer_frame(RegisterPeer& p, const Frame& f) {
+void MirrorTransport::handle_peer_frame(RegisterPeer& p,
+                                        const Response& f) {
   switch (f.header.type) {
     case MsgType::kRegAck: {
-      const std::uint64_t seq = f.reg_ack.seq;
+      const std::uint64_t seq = std::get<RegAckBody>(f.body).seq;
       if (seq <= p.acked_seq || seq > p.sent_seq) return;  // stale/garbled
       p.acked_seq = seq;
       p.backlog.store(p.sent_seq - p.acked_seq, std::memory_order_relaxed);
@@ -458,7 +462,7 @@ void MirrorTransport::handle_peer_frame(RegisterPeer& p, const Frame& f) {
     case MsgType::kRegHello:
       return;  // the peer's hello response; nothing to do
     default:
-      return;  // future frame types: ignore (forward compatibility)
+      return;  // nothing else rides a mirror stream
   }
 }
 
@@ -556,27 +560,15 @@ void MirrorTransport::on_inbound_io(int fd, std::uint32_t events) {
     return;
   }
   if (events & EPOLLIN) {
-    std::uint8_t buf[16384];
-    for (;;) {
-      const ssize_t n = ::read(fd, buf, sizeof buf);
-      if (n > 0) {
-        c.in.feed(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        close_inbound(fd);
-        return;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
+    if (!read_available(fd, c.in)) {
       close_inbound(fd);
       return;
     }
     const std::uint8_t* payload = nullptr;
     std::size_t len = 0;
+    Request f;
     while (c.in.next(payload, len)) {
-      Frame f;
-      if (decode_payload(payload, len, f) != DecodeResult::kOk) {
+      if (decode_request(payload, len, f) != DecodeResult::kOk) {
         close_inbound(fd);
         return;
       }
@@ -596,42 +588,35 @@ void MirrorTransport::on_inbound_io(int fd, std::uint32_t events) {
   }
 }
 
-void MirrorTransport::handle_inbound_frame(Inbound& c, const Frame& f) {
+void MirrorTransport::handle_inbound_frame(Inbound& c, const Request& f) {
   switch (f.header.type) {
     case MsgType::kRegHello: {
-      if (!f.has_body) {
-        close_inbound(c.fd);
-        return;
-      }
-      c.node = f.reg_hello.node;
+      c.node = std::get<RegHelloBody>(f.body).node;
       encode_reg_hello(c.out, Status::kOk, f.header.req_id, cfg_.node);
       break;
     }
     case MsgType::kRegPush: {
-      if (!f.has_body) {
-        close_inbound(c.fd);
-        return;
-      }
+      const RegPushBody& push = std::get<RegPushBody>(f.body);
       std::uint64_t wal_gate = 0;
       {
         std::lock_guard<std::mutex> lock(groups_mu_);
-        const auto it = groups_.find(f.reg_push.gid);
+        const auto it = groups_.find(push.gid);
         if (it != groups_.end()) {
           MirroredMemory& mem = *it->second.mem;
           // In frame order, which is the sender's write order: this is
           // the FIFO application the mirror's regularity argument needs.
-          for (const auto& u : f.reg_push.cells) {
+          for (const auto& u : push.cells) {
             mem.apply_push(Cell{u.cell}, u.value);
             if (inbound_journal_) {
               // Journal the pushed cell to the local WAL (the closure
               // filters out cells below the durable floor; record seqs
               // are monotone, so the last nonzero one gates the ack).
               const std::uint64_t rec =
-                  inbound_journal_(f.reg_push.gid, u.cell, u.value);
+                  inbound_journal_(push.gid, u.cell, u.value);
               if (rec != 0) wal_gate = rec;
             }
           }
-          counters_.applied_cells.fetch_add(f.reg_push.cells.size(),
+          counters_.applied_cells.fetch_add(push.cells.size(),
                                             std::memory_order_relaxed);
         }
         // Unknown gid: the group is not registered here (yet); the
@@ -644,14 +629,14 @@ void MirrorTransport::handle_inbound_frame(Inbound& c, const Frame& f) {
         // that journaled nothing still queues behind earlier gated frames
         // (inheriting their gate), keeping the ack stream cumulative.
         if (wal_gate == 0) wal_gate = c.deferred_acks.back().second;
-        c.deferred_acks.emplace_back(f.reg_push.seq, wal_gate);
+        c.deferred_acks.emplace_back(push.seq, wal_gate);
         if (!drain_deferred_acks(c)) {
           close_inbound(c.fd);
           return;
         }
         break;
       }
-      encode_reg_ack(c.out, f.reg_push.seq);
+      encode_reg_ack(c.out, push.seq);
       break;
     }
     default:

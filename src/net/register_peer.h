@@ -264,8 +264,8 @@ class MirrorTransport {
   void on_accept();
   void on_inbound_io(int fd, std::uint32_t events);
   void on_peer_io(RegisterPeer& p, std::uint32_t events);
-  void handle_inbound_frame(Inbound& c, const Frame& f);
-  void handle_peer_frame(RegisterPeer& p, const Frame& f);
+  void handle_inbound_frame(Inbound& c, const Request& f);
+  void handle_peer_frame(RegisterPeer& p, const Response& f);
   /// Dials a peer (non-blocking connect); loop thread.
   void dial(RegisterPeer& p);
   void on_timer();

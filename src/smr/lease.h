@@ -17,7 +17,9 @@
 //   * acquire floor — a NEW holder must wait out the previous holder's
 //     maximal validity (last observed foreign heartbeat + ttl + skew)
 //     before its own lease can become valid, so two holders never
-//     overlap even across the election window.
+//     overlap even across the election window. A holder whose lease
+//     lapsed counts as new: its next confirmed heartbeat starts the same
+//     ttl + skew wait.
 // A skew bound >= ttl makes every extension non-positive: the lease can
 // never become valid (the refusal the config demands — better no fast
 // path than a clock-dependent unsafe one).
@@ -59,8 +61,18 @@ class LeaseState {
   /// land at or before its own send time — an interval that can only be
   /// "valid" in the past — so it is refused outright and the lease stays
   /// invalid at every clock value, not just values past t_send.
+  ///
+  /// A heartbeat sent at or after the end of the lease comes from a holder
+  /// that lapsed — paused or cut off, and perhaps still acting on the view
+  /// it held before. Peers ack pushes, not leadership, so the confirmation
+  /// proves nothing about who leads now: the lapsed holder re-acquires like
+  /// a new one and stays invalid until ttl + skew after that send.
   void on_heartbeat_confirmed(std::int64_t t_send_us) {
     if (skew_us_ >= ttl_us_) return;
+    if (lease_until_us_ != 0 && t_send_us >= lease_until_us_) {
+      not_before_us_ =
+          std::max(not_before_us_, t_send_us + ttl_us_ + skew_us_);
+    }
     lease_until_us_ = std::max(lease_until_us_, t_send_us + ttl_us_ - skew_us_);
   }
 

@@ -1,108 +1,165 @@
-// Wire codec (net/frame.h): round-trips for every message type, stream
-// reassembly under arbitrary fragmentation, and rejection of malformed or
-// oversized input.
+// Wire codec (net/frame.h): one layout per (type, role) for every status,
+// round-trips of each body, stream reassembly under arbitrary
+// fragmentation, and rejection of malformed, misrouted or oversized input.
 #include "net/frame.h"
 
 #include <gtest/gtest.h>
 
+#include "frame_codec.h"
+
 namespace omega::net {
 namespace {
 
-/// Feeds `bytes` to a decoder in `chunk`-sized pieces and decodes every
-/// completed payload.
-std::vector<Frame> decode_stream(const std::vector<std::uint8_t>& bytes,
-                                 std::size_t chunk) {
-  FrameDecoder dec;
-  std::vector<Frame> frames;
-  for (std::size_t at = 0; at < bytes.size(); at += chunk) {
-    const std::size_t n = std::min(chunk, bytes.size() - at);
-    dec.feed(bytes.data() + at, n);
-    const std::uint8_t* payload = nullptr;
-    std::size_t len = 0;
-    while (dec.next(payload, len)) {
-      Frame f;
-      EXPECT_EQ(decode_payload(payload, len, f), DecodeResult::kOk);
-      frames.push_back(f);
+using test::Bytes;
+using test::requests;
+using test::responses;
+
+/// Re-stamps the length prefix of a single frame after its payload grew
+/// or shrank.
+void restamp(Bytes& frame) {
+  const std::uint32_t n = static_cast<std::uint32_t>(frame.size() - 4);
+  for (int i = 0; i < 4; ++i) frame[i] = static_cast<std::uint8_t>(n >> (8 * i));
+}
+
+DecodeResult decode_as(bool request, const Bytes& frame, std::size_t& alt) {
+  if (request) {
+    Request r;
+    const DecodeResult res = test::decode_as_request(frame, r);
+    alt = r.body.index();
+    return res;
+  }
+  Response r;
+  const DecodeResult res = test::decode_as_response(frame, r);
+  alt = r.body.index();
+  return res;
+}
+
+TEST(Frame, EveryTypeRoleAndStatusDecodesAtExactlyItsLength) {
+  // The strict decoder closes a connection on any body it refuses, so the
+  // encoder and decoder must agree on every (type, role, status): the
+  // encoded body decodes at its length, one byte less or more is kBadBody.
+  for (const test::Shape& shape : test::all_shapes()) {
+    const std::vector<Status> statuses =
+        shape.fixed_status ? std::vector<Status>{Status::kOk}
+                           : test::all_statuses();
+    for (const Status s : statuses) {
+      SCOPED_TRACE(shape.name + " status " +
+                   std::to_string(static_cast<int>(s)));
+      Bytes frame;
+      shape.encode(frame, s);
+      std::size_t alt = 0;
+      ASSERT_EQ(decode_as(shape.request, frame, alt), DecodeResult::kOk);
+      EXPECT_EQ(alt, shape.alternative);
+
+      Bytes longer = frame;
+      longer.push_back(0);
+      restamp(longer);
+      EXPECT_EQ(decode_as(shape.request, longer, alt), DecodeResult::kBadBody);
+
+      if (frame.size() - 4 > kHeaderBytes) {  // an empty body has no -1
+        Bytes shorter(frame.begin(), frame.end() - 1);
+        restamp(shorter);
+        EXPECT_EQ(decode_as(shape.request, shorter, alt),
+                  DecodeResult::kBadBody);
+      }
     }
   }
-  return frames;
+}
+
+TEST(Frame, MisroutedRolesAreRefused) {
+  // A request read by a client (or an answer read by a server) is a
+  // broken peer, not a frame to guess at.
+  Bytes append;
+  encode_append_request(append, 1, AppendReqBody{1, 2, 3, 4, 5});
+  Response resp;
+  EXPECT_EQ(test::decode_as_response(append, resp), DecodeResult::kBadBody);
+
+  Bytes read;
+  encode_read_response(read, Status::kLeaseRead, 1, ReadRespBody{});
+  Request req;
+  EXPECT_EQ(test::decode_as_request(read, req), DecodeResult::kBadBody);
+
+  Bytes event;
+  encode_view_frame(event, MsgType::kEvent, Status::kOk, 0, ViewBody{});
+  EXPECT_EQ(test::decode_as_request(event, req), DecodeResult::kBadBody)
+      << "pushes have no request role";
+  Bytes push;
+  const RegCellUpdate cell{1, 2};
+  encode_reg_push(push, 1, 1, &cell, 1);
+  EXPECT_EQ(test::decode_as_response(push, resp), DecodeResult::kBadBody);
+}
+
+TEST(Frame, VersionOneHeaderIsBadMagic) {
+  Bytes buf;
+  encode_request(buf, MsgType::kLeader, 1, WireGroupId{1});
+  buf[5] = 1;  // a v1 peer
+  Request req;
+  EXPECT_EQ(test::decode_as_request(buf, req), DecodeResult::kBadMagic);
+  Response resp;
+  EXPECT_EQ(test::decode_as_response(buf, resp), DecodeResult::kBadMagic);
 }
 
 TEST(Frame, LeaderRequestRoundTrip) {
-  std::vector<std::uint8_t> buf;
+  Bytes buf;
   encode_request(buf, MsgType::kLeader, /*req_id=*/42, WireGroupId{7});
-  const auto frames = decode_stream(buf, buf.size());
+  const auto frames = requests(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kLeader);
   EXPECT_EQ(frames[0].header.status, Status::kOk);
   EXPECT_EQ(frames[0].header.req_id, 42u);
-  ASSERT_TRUE(frames[0].has_body);
-  EXPECT_EQ(frames[0].view.gid, 7u);
-  EXPECT_EQ(frames[0].view.leader, kNoProcess);  // requests carry no view
+  EXPECT_EQ(std::get<GidBody>(frames[0].body).gid, 7u);
 }
 
 TEST(Frame, ViewResponseRoundTrip) {
-  std::vector<std::uint8_t> buf;
+  Bytes buf;
   encode_view_frame(buf, MsgType::kLeader, Status::kOk, 9,
                     ViewBody{0xdeadbeefull, ProcessId{2}, 0x1234567890ull});
-  const auto frames = decode_stream(buf, buf.size());
+  const auto frames = responses(buf);
   ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].view.gid, 0xdeadbeefull);
-  EXPECT_EQ(frames[0].view.leader, 2u);
-  EXPECT_EQ(frames[0].view.epoch, 0x1234567890ull);
+  const ViewBody& v = std::get<ViewBody>(frames[0].body);
+  EXPECT_EQ(v.gid, 0xdeadbeefull);
+  EXPECT_EQ(v.leader, 2u);
+  EXPECT_EQ(v.epoch, 0x1234567890ull);
 }
 
 TEST(Frame, NoLeaderSentinelSurvivesTheWire) {
-  std::vector<std::uint8_t> buf;
+  Bytes buf;
   encode_view_frame(buf, MsgType::kEvent, Status::kOk, 0,
                     ViewBody{3, kNoProcess, 17});
-  const auto frames = decode_stream(buf, buf.size());
+  const auto frames = responses(buf);
   ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].view.leader, kNoProcess);
-  EXPECT_EQ(frames[0].view.epoch, 17u);
+  EXPECT_EQ(std::get<ViewBody>(frames[0].body).leader, kNoProcess);
+  EXPECT_EQ(std::get<ViewBody>(frames[0].body).epoch, 17u);
 }
 
-TEST(Frame, PingAndStatsRoundTrip) {
-  std::vector<std::uint8_t> buf;
+TEST(Frame, PingRoundTrip) {
+  Bytes buf;
   encode_request(buf, MsgType::kPing, 1, std::nullopt);
-  StatsBody stats;
-  stats.connections = 3;
-  stats.queries = 1000;
-  stats.watches = 5;
-  stats.events = 12;
-  stats.groups = 64;
-  stats.io_threads = 2;
-  encode_stats_response(buf, 2, stats);
-  const auto frames = decode_stream(buf, buf.size());
-  ASSERT_EQ(frames.size(), 2u);
+  const auto frames = requests(buf);
+  ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kPing);
-  EXPECT_FALSE(frames[0].has_body);
-  EXPECT_EQ(frames[1].header.type, MsgType::kStats);
-  ASSERT_TRUE(frames[1].has_body);
-  EXPECT_EQ(frames[1].stats.queries, 1000u);
-  EXPECT_EQ(frames[1].stats.groups, 64u);
-  EXPECT_EQ(frames[1].stats.io_threads, 2u);
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(frames[0].body));
 }
 
 TEST(Frame, ByteAtATimeReassembly) {
   // TCP may deliver any fragmentation; the decoder must reassemble frames
   // fed one byte at a time, across frame boundaries.
-  std::vector<std::uint8_t> buf;
+  Bytes buf;
   for (std::uint64_t i = 0; i < 5; ++i) {
     encode_request(buf, MsgType::kLeader, i, WireGroupId{i * 10});
   }
-  const auto frames = decode_stream(buf, 1);
+  const auto frames = requests(buf, 1);
   ASSERT_EQ(frames.size(), 5u);
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(frames[i].header.req_id, i);
-    EXPECT_EQ(frames[i].view.gid, i * 10);
+    EXPECT_EQ(std::get<GidBody>(frames[i].body).gid, i * 10);
   }
 }
 
 TEST(Frame, DecoderCompactionKeepsLongStreamsBounded) {
   // A long-lived connection must not grow the buffer without bound: after
   // many consumed frames the decoder compacts and keeps decoding right.
-  std::vector<std::uint8_t> one;
+  Bytes one;
   encode_request(one, MsgType::kLeader, 7, WireGroupId{7});
   FrameDecoder dec;
   const std::uint8_t* payload = nullptr;
@@ -110,59 +167,62 @@ TEST(Frame, DecoderCompactionKeepsLongStreamsBounded) {
   for (int i = 0; i < 10000; ++i) {
     dec.feed(one.data(), one.size());
     ASSERT_TRUE(dec.next(payload, len));
-    Frame f;
-    ASSERT_EQ(decode_payload(payload, len, f), DecodeResult::kOk);
-    ASSERT_EQ(f.view.gid, 7u);
+    Request r;
+    ASSERT_EQ(decode_request(payload, len, r), DecodeResult::kOk);
+    ASSERT_EQ(std::get<GidBody>(r.body).gid, 7u);
     EXPECT_FALSE(dec.next(payload, len));
   }
   EXPECT_EQ(dec.buffered(), 0u);
 }
 
 TEST(Frame, RejectsBadMagicAndVersion) {
-  std::vector<std::uint8_t> buf;
+  Bytes buf;
   encode_request(buf, MsgType::kPing, 1, std::nullopt);
-  Frame f;
-  std::vector<std::uint8_t> payload(buf.begin() + 4, buf.end());
-  payload[0] ^= 0xff;  // magic
-  EXPECT_EQ(decode_payload(payload.data(), payload.size(), f),
-            DecodeResult::kBadMagic);
-  payload[0] ^= 0xff;
-  payload[1] = kVersion + 1;  // future version: reject loudly
-  EXPECT_EQ(decode_payload(payload.data(), payload.size(), f),
-            DecodeResult::kBadMagic);
+  Request r;
+  buf[4] ^= 0xff;  // magic
+  EXPECT_EQ(test::decode_as_request(buf, r), DecodeResult::kBadMagic);
+  buf[4] ^= 0xff;
+  buf[5] = kVersion + 1;  // future version: reject loudly
+  EXPECT_EQ(test::decode_as_request(buf, r), DecodeResult::kBadMagic);
 }
 
 TEST(Frame, RejectsTruncatedHeaderAndBody) {
-  Frame f;
+  Request r;
   const std::uint8_t short_payload[3] = {kMagic, kVersion, 1};
-  EXPECT_EQ(decode_payload(short_payload, sizeof short_payload, f),
+  EXPECT_EQ(decode_request(short_payload, sizeof short_payload, r),
             DecodeResult::kBadLength);
 
   // LEADER with a 4-byte body (gid needs 8).
-  std::vector<std::uint8_t> buf;
+  Bytes buf;
   encode_request(buf, MsgType::kLeader, 1, WireGroupId{1});
-  std::vector<std::uint8_t> payload(buf.begin() + 4, buf.end() - 4);
-  EXPECT_EQ(decode_payload(payload.data(), payload.size(), f),
+  EXPECT_EQ(test::decode_as_request(buf, r, /*clip=*/4),
             DecodeResult::kBadBody);
 }
 
 TEST(Frame, EventWithoutViewIsMalformed) {
   // EVENT frames must carry the full view; a gid-only event is a bug.
-  std::vector<std::uint8_t> buf;
-  encode_request(buf, MsgType::kEvent, 0, WireGroupId{5});
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, buf.size() - 4, f),
-            DecodeResult::kBadBody);
+  Bytes buf;
+  encode_gid_response(buf, MsgType::kEvent, Status::kOk, 0, 5);
+  Response r;
+  EXPECT_EQ(test::decode_as_response(buf, r), DecodeResult::kBadBody);
 }
 
 TEST(Frame, UnknownTypeDecodesHeaderOnly) {
-  std::vector<std::uint8_t> buf;
-  encode_request(buf, static_cast<MsgType>(200), 77, std::nullopt);
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, buf.size() - 4, f),
-            DecodeResult::kOk);
-  EXPECT_EQ(f.header.req_id, 77u);
-  EXPECT_FALSE(f.has_body);
+  // Including 5, the retired STATS: a server answers kUnsupported.
+  for (const std::uint8_t type : {0, 5, 200}) {
+    Bytes buf;
+    encode_request(buf, static_cast<MsgType>(type), 77, WireGroupId{1});
+    Request r;
+    EXPECT_EQ(test::decode_as_request(buf, r), DecodeResult::kOk);
+    EXPECT_EQ(r.header.req_id, 77u);
+    EXPECT_TRUE(std::holds_alternative<std::monostate>(r.body));
+    Bytes answer;
+    encode_simple_response(answer, static_cast<MsgType>(type),
+                           Status::kUnsupported, 77);
+    Response a;
+    EXPECT_EQ(test::decode_as_response(answer, a), DecodeResult::kOk);
+    EXPECT_EQ(a.header.status, Status::kUnsupported);
+  }
 }
 
 TEST(Frame, OversizedLengthPrefixMarksStreamCorrupt) {
@@ -182,204 +242,173 @@ TEST(Frame, OversizedLengthPrefixMarksStreamCorrupt) {
   EXPECT_FALSE(dec.next(payload, len));
 }
 
-TEST(Frame, StatsRequestTrailingBytesAreForwardCompatible) {
-  // A future revision may append request fields to STATS; anything under
-  // the v1 response size decodes as a request, never as a protocol error.
-  std::vector<std::uint8_t> buf;
-  encode_request(buf, MsgType::kStats, 11, std::nullopt);
-  buf.push_back(0x01);  // one future request field byte
-  buf[0] += 1;          // patch the length prefix (LE low byte, small frame)
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, buf.size() - 4, f),
-            DecodeResult::kOk);
-  EXPECT_FALSE(f.has_body);
-  EXPECT_EQ(f.header.req_id, 11u);
-}
-
-TEST(Frame, TrailingBytesAreForwardCompatible) {
-  // A future revision may append fields; v1 decoders ignore the tail.
-  std::vector<std::uint8_t> buf;
-  encode_view_frame(buf, MsgType::kLeader, Status::kOk, 3,
-                    ViewBody{1, ProcessId{0}, 5});
-  buf.push_back(0xab);  // extra byte beyond the known body
-  buf[0] += 1;          // patch the length prefix (LE low byte, small frame)
-  const auto frames = decode_stream(buf, buf.size());
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].view.epoch, 5u);
-}
-
 TEST(Frame, AppendRequestAndResponseRoundTrip) {
-  std::vector<std::uint8_t> buf;
+  Bytes req_buf;
   AppendReqBody req;
   req.gid = 9;
   req.client = 0xAABBCCDDEE;
   req.seq = 77;
   req.command = 65000;
-  encode_append_request(buf, 5, req);
+  encode_append_request(req_buf, 5, req);
+  const auto reqs = requests(req_buf, 3);  // odd chunking on purpose
+  ASSERT_EQ(reqs.size(), 1u);
+  const AppendReqBody& a = std::get<AppendReqBody>(reqs[0].body);
+  EXPECT_EQ(a.gid, 9u);
+  EXPECT_EQ(a.client, 0xAABBCCDDEEull);
+  EXPECT_EQ(a.seq, 77u);
+  EXPECT_EQ(a.command, 65000u);
+
+  Bytes resp_buf;
   AppendRespBody resp;
   resp.gid = 9;
   resp.index = 123456789;
   resp.leader = 2;
   resp.epoch = 42;
-  encode_append_response(buf, Status::kOk, 5, resp);
-  const auto frames = decode_stream(buf, 3);  // odd chunking on purpose
-  ASSERT_EQ(frames.size(), 2u);
-  // Role-based decode: the request interpretation is only available on
-  // the 32-byte request frame.
-  ASSERT_TRUE(frames[0].has_append_req);
-  EXPECT_EQ(frames[0].append_req.gid, 9u);
-  EXPECT_EQ(frames[0].append_req.client, 0xAABBCCDDEEull);
-  EXPECT_EQ(frames[0].append_req.seq, 77u);
-  EXPECT_EQ(frames[0].append_req.command, 65000u);
-  EXPECT_FALSE(frames[1].has_append_req);
-  EXPECT_EQ(frames[1].append_resp.gid, 9u);
-  EXPECT_EQ(frames[1].append_resp.index, 123456789u);
-  EXPECT_EQ(frames[1].append_resp.leader, 2u);
-  EXPECT_EQ(frames[1].append_resp.epoch, 42u);
+  encode_append_response(resp_buf, Status::kOk, 5, resp);
+  const auto resps = responses(resp_buf, 3);
+  ASSERT_EQ(resps.size(), 1u);
+  const AppendRespBody& b = std::get<AppendRespBody>(resps[0].body);
+  EXPECT_EQ(b.gid, 9u);
+  EXPECT_EQ(b.index, 123456789u);
+  EXPECT_EQ(b.leader, 2u);
+  EXPECT_EQ(b.epoch, 42u);
 }
 
 TEST(Frame, NotLeaderResponseCarriesTheRedirectHint) {
-  std::vector<std::uint8_t> buf;
+  Bytes buf;
   AppendRespBody resp;
   resp.gid = 4;
   resp.leader = kNoProcess;
   resp.epoch = 17;
   encode_append_response(buf, Status::kNotLeader, 8, resp);
-  const auto frames = decode_stream(buf, buf.size());
+  const auto frames = responses(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.status, Status::kNotLeader);
-  EXPECT_EQ(frames[0].append_resp.leader, kNoProcess);
-  EXPECT_EQ(frames[0].append_resp.epoch, 17u);
+  EXPECT_EQ(std::get<AppendRespBody>(frames[0].body).leader, kNoProcess);
+  EXPECT_EQ(std::get<AppendRespBody>(frames[0].body).epoch, 17u);
 }
 
 TEST(Frame, ReadLogRoundTrip) {
-  std::vector<std::uint8_t> buf;
+  Bytes req_buf;
   ReadLogReqBody req;
   req.gid = 2;
   req.from = 100;
   req.max = 3;
-  encode_readlog_request(buf, 6, req);
-  encode_readlog_response(buf, 6, 2, /*commit_index=*/103,
+  encode_readlog_request(req_buf, 6, req);
+  const auto reqs = requests(req_buf, 7);
+  ASSERT_EQ(reqs.size(), 1u);
+  EXPECT_EQ(std::get<ReadLogReqBody>(reqs[0].body).from, 100u);
+  EXPECT_EQ(std::get<ReadLogReqBody>(reqs[0].body).max, 3u);
+
+  Bytes resp_buf;
+  encode_readlog_response(resp_buf, Status::kOk, 6, 2, /*commit_index=*/103,
                           {11, 22, 33});
-  const auto frames = decode_stream(buf, 7);
-  ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[0].readlog_req.gid, 2u);
-  EXPECT_EQ(frames[0].readlog_req.from, 100u);
-  EXPECT_EQ(frames[0].readlog_req.max, 3u);
-  EXPECT_TRUE(frames[0].readlog_resp.entries.empty())
-      << "a request's `max` must not be misread as an entry count";
-  EXPECT_EQ(frames[1].readlog_resp.commit_index, 103u);
-  ASSERT_EQ(frames[1].readlog_resp.entries.size(), 3u);
-  EXPECT_EQ(frames[1].readlog_resp.entries[0], 11u);
-  EXPECT_EQ(frames[1].readlog_resp.entries[2], 33u);
+  const auto resps = responses(resp_buf, 7);
+  ASSERT_EQ(resps.size(), 1u);
+  const ReadLogRespBody& page = std::get<ReadLogRespBody>(resps[0].body);
+  EXPECT_EQ(page.commit_index, 103u);
+  ASSERT_EQ(page.entries.size(), 3u);
+  EXPECT_EQ(page.entries[0], 11u);
+  EXPECT_EQ(page.entries[2], 33u);
+}
+
+TEST(Frame, ReadLogErrorCarriesTheFullEmptyPage) {
+  Bytes buf;
+  encode_readlog_response(buf, Status::kUnknownGroup, 6, 2, 0, {});
+  const auto frames = responses(buf);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].header.status, Status::kUnknownGroup);
+  EXPECT_EQ(std::get<ReadLogRespBody>(frames[0].body).gid, 2u);
+  EXPECT_TRUE(std::get<ReadLogRespBody>(frames[0].body).entries.empty());
 }
 
 TEST(Frame, CommitWatchAndEventRoundTrip) {
-  std::vector<std::uint8_t> buf;
-  encode_request(buf, MsgType::kCommitWatch, 3, WireGroupId{5});
+  Bytes req_buf;
+  encode_request(req_buf, MsgType::kCommitWatch, 3, WireGroupId{5});
+  ASSERT_EQ(std::get<GidBody>(requests(req_buf)[0].body).gid, 5u);
+
+  Bytes buf;
   encode_commit_snapshot(buf, Status::kOk, 3, 5, /*commit_index=*/40);
   encode_commit_event(buf, 5, /*index=*/41, /*value=*/777);
-  const auto frames = decode_stream(buf, 1);  // byte-at-a-time
-  ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames[0].commit.gid, 5u);
-  EXPECT_EQ(frames[1].commit.index, 40u);
-  EXPECT_EQ(frames[2].header.type, MsgType::kCommitEvent);
-  EXPECT_EQ(frames[2].header.req_id, 0u);
-  EXPECT_EQ(frames[2].commit.index, 41u);
-  EXPECT_EQ(frames[2].commit.value, 777u);
+  const auto frames = responses(buf, 1);  // byte-at-a-time
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(std::get<CommitBody>(frames[0].body).index, 40u);
+  EXPECT_EQ(frames[1].header.type, MsgType::kCommitEvent);
+  EXPECT_EQ(frames[1].header.req_id, 0u);
+  EXPECT_EQ(std::get<CommitBody>(frames[1].body).index, 41u);
+  EXPECT_EQ(std::get<CommitBody>(frames[1].body).value, 777u);
 }
 
 TEST(Frame, CommitEventWithoutFullBodyIsMalformed) {
-  // Like kEvent: pushes must carry their complete body.
-  std::vector<std::uint8_t> buf;
+  // Like EVENT: pushes must carry their complete body.
+  Bytes buf;
   encode_gid_response(buf, MsgType::kCommitEvent, Status::kOk, 0, 5);
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, buf.size() - 4, f),
-            DecodeResult::kBadBody);
-}
-
-TEST(Frame, StatsV11FieldsRoundTripAndOldBodiesStayZero) {
-  std::vector<std::uint8_t> buf;
-  StatsBody stats;
-  stats.queries = 5;
-  stats.appends = 9;
-  stats.commit_events = 4;
-  stats.log_reads = 2;
-  encode_stats_response(buf, 1, stats);
-  const auto frames = decode_stream(buf, buf.size());
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].stats.appends, 9u);
-  EXPECT_EQ(frames[0].stats.commit_events, 4u);
-  EXPECT_EQ(frames[0].stats.log_reads, 2u);
-
-  // A v1.0 stats body (48 bytes) decodes with the new fields zeroed.
-  std::vector<std::uint8_t> old(buf.begin(), buf.end());
-  old[0] -= 24;  // shrink the length prefix by the three new fields
-  old.resize(old.size() - 24);
-  Frame f;
-  EXPECT_EQ(decode_payload(old.data() + 4, old.size() - 4, f),
-            DecodeResult::kOk);
-  EXPECT_EQ(f.stats.queries, 5u);
-  EXPECT_EQ(f.stats.appends, 0u);
+  Response r;
+  EXPECT_EQ(test::decode_as_response(buf, r), DecodeResult::kBadBody);
 }
 
 TEST(Frame, RegMirrorFramesRoundTrip) {
-  // v1.2 mirror stream: HELLO, a PUSH of three cells, the cumulative ACK.
-  std::vector<std::uint8_t> buf;
-  encode_reg_hello(buf, Status::kOk, /*req_id=*/1, /*node=*/2);
+  // Mirror stream: HELLO and PUSH from the dialler, ACK from the acceptor.
+  Bytes out;
+  encode_reg_hello(out, Status::kOk, /*req_id=*/1, /*node=*/2);
   const RegCellUpdate cells[3] = {{10, 100}, {11, 0}, {65535, 1ull << 40}};
-  encode_reg_push(buf, /*gid=*/42, /*seq=*/7, cells, 3);
-  encode_reg_ack(buf, /*seq=*/7);
-  const auto frames = decode_stream(buf, buf.size());
-  ASSERT_EQ(frames.size(), 3u);
-
-  EXPECT_EQ(frames[0].header.type, MsgType::kRegHello);
-  EXPECT_EQ(frames[0].reg_hello.node, 2u);
-
-  EXPECT_EQ(frames[1].header.type, MsgType::kRegPush);
-  EXPECT_EQ(frames[1].header.req_id, 0u) << "pushes are one-way";
-  EXPECT_EQ(frames[1].reg_push.gid, 42u);
-  EXPECT_EQ(frames[1].reg_push.seq, 7u);
-  ASSERT_EQ(frames[1].reg_push.cells.size(), 3u);
+  encode_reg_push(out, /*gid=*/42, /*seq=*/7, cells, 3);
+  const auto sent = requests(out);
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(std::get<RegHelloBody>(sent[0].body).node, 2u);
+  EXPECT_EQ(sent[1].header.req_id, 0u) << "pushes are one-way";
+  const RegPushBody& push = std::get<RegPushBody>(sent[1].body);
+  EXPECT_EQ(push.gid, 42u);
+  EXPECT_EQ(push.seq, 7u);
+  ASSERT_EQ(push.cells.size(), 3u);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(frames[1].reg_push.cells[i].cell, cells[i].cell);
-    EXPECT_EQ(frames[1].reg_push.cells[i].value, cells[i].value);
+    EXPECT_EQ(push.cells[i].cell, cells[i].cell);
+    EXPECT_EQ(push.cells[i].value, cells[i].value);
   }
 
-  EXPECT_EQ(frames[2].header.type, MsgType::kRegAck);
-  EXPECT_EQ(frames[2].reg_ack.seq, 7u);
+  Bytes back;
+  encode_reg_hello(back, Status::kOk, 1, /*node=*/0);
+  encode_reg_ack(back, /*seq=*/7);
+  const auto got = responses(back);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(std::get<RegHelloBody>(got[0].body).node, 0u);
+  EXPECT_EQ(std::get<RegAckBody>(got[1].body).seq, 7u);
 }
 
 TEST(Frame, RegPushRejectsOverAndUnderCountedBodies) {
-  std::vector<std::uint8_t> buf;
+  Bytes buf;
   const RegCellUpdate cells[2] = {{1, 2}, {3, 4}};
   encode_reg_push(buf, 1, 1, cells, 2);
   // Claim three cells but carry two: the count must be validated against
   // the body length, never trusted.
   buf[4 + kHeaderBytes + 16] = 3;
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, buf.size() - 4, f),
-            DecodeResult::kBadBody);
+  Request r;
+  EXPECT_EQ(test::decode_as_request(buf, r), DecodeResult::kBadBody);
   // A count above the frame cap is rejected outright.
   buf[4 + kHeaderBytes + 16] = static_cast<std::uint8_t>(255);
   buf[4 + kHeaderBytes + 17] = 1;  // 511 > kMaxPushCells
-  EXPECT_EQ(decode_payload(buf.data() + 4, buf.size() - 4, f),
-            DecodeResult::kBadBody);
+  EXPECT_EQ(test::decode_as_request(buf, r), DecodeResult::kBadBody);
   EXPECT_THROW(encode_reg_push(buf, 1, 1, cells, 0), std::exception);
 }
 
 TEST(Frame, SessionOpenRoundTripsBothRoles) {
-  std::vector<std::uint8_t> buf;
-  encode_session_open(buf, Status::kOk, /*req_id=*/9, /*gid=*/5,
-                      /*client_or_ttl=*/1234567);
-  encode_session_open(buf, Status::kSessionEvicted, 10, 5, 0);
-  const auto frames = decode_stream(buf, buf.size());
-  ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[0].header.type, MsgType::kSessionOpen);
-  EXPECT_EQ(frames[0].session.gid, 5u);
-  EXPECT_EQ(frames[0].session.client, 1234567u) << "request role";
-  EXPECT_EQ(frames[0].session.ttl_us, 1234567u) << "response role";
-  EXPECT_EQ(frames[1].header.status, Status::kSessionEvicted);
+  Bytes req_buf;
+  encode_session_open_request(req_buf, /*req_id=*/9,
+                              SessionOpenReqBody{5, 1234567});
+  const auto reqs = requests(req_buf);
+  ASSERT_EQ(reqs.size(), 1u);
+  EXPECT_EQ(std::get<SessionOpenReqBody>(reqs[0].body).gid, 5u);
+  EXPECT_EQ(std::get<SessionOpenReqBody>(reqs[0].body).client, 1234567u);
+
+  Bytes resp_buf;
+  encode_session_open_response(resp_buf, Status::kOk, 9,
+                               SessionOpenRespBody{5, 30000000});
+  encode_session_open_response(resp_buf, Status::kSessionEvicted, 10,
+                               SessionOpenRespBody{5, 0});
+  const auto resps = responses(resp_buf);
+  ASSERT_EQ(resps.size(), 2u);
+  EXPECT_EQ(std::get<SessionOpenRespBody>(resps[0].body).ttl_us, 30000000u);
+  EXPECT_EQ(resps[1].header.status, Status::kSessionEvicted);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-// v1.5 telemetry codec (net/frame.h): HEALTH round-trips with firing
-// rules and role selection by body length, METRICS_WATCH period
-// round-trip, METRICS_EVENT page round-trip with req_id 0, truncation
-// rejection, and count-bomb hardening on both wire-controlled counts.
+// Telemetry codec (net/frame.h): HEALTH round-trips with firing rules,
+// METRICS_WATCH period round-trip, METRICS_EVENT page round-trip with
+// req_id 0, truncation rejection, and count-bomb hardening on both
+// wire-controlled counts.
 #include "net/frame.h"
 
 #include <gtest/gtest.h>
+
+#include "frame_codec.h"
 
 #include <string>
 #include <vector>
@@ -12,28 +14,18 @@
 namespace omega::net {
 namespace {
 
-std::vector<Frame> decode_all(const std::vector<std::uint8_t>& bytes) {
-  FrameDecoder dec;
-  dec.feed(bytes.data(), bytes.size());
-  std::vector<Frame> frames;
-  const std::uint8_t* payload = nullptr;
-  std::size_t len = 0;
-  while (dec.next(payload, len)) {
-    Frame f;
-    EXPECT_EQ(decode_payload(payload, len, f), DecodeResult::kOk);
-    frames.push_back(f);
-  }
-  return frames;
+std::vector<Response> decode_all(const std::vector<std::uint8_t>& bytes) {
+  return test::responses(bytes);
 }
 
 TEST(HealthFrame, EmptyBodyIsTheRequestRole) {
   std::vector<std::uint8_t> buf;
   encode_request(buf, MsgType::kHealth, /*req_id=*/3, std::nullopt);
-  const auto frames = decode_all(buf);
+  const auto frames = test::requests(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kHealth);
   EXPECT_EQ(frames[0].header.req_id, 3u);
-  EXPECT_FALSE(frames[0].has_health_resp);
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(frames[0].body));
 }
 
 TEST(HealthFrame, ResponseRoundTripWithFiringRules) {
@@ -48,19 +40,18 @@ TEST(HealthFrame, ResponseRoundTripWithFiringRules) {
   encode_health_response(buf, Status::kOk, /*req_id=*/9, body);
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
-  const Frame& f = frames[0];
+  const Response& f = frames[0];
   EXPECT_EQ(f.header.type, MsgType::kHealth);
   EXPECT_EQ(f.header.status, Status::kOk);
-  ASSERT_TRUE(f.has_health_resp);
-  EXPECT_EQ(f.health_resp.overall, 1);
-  EXPECT_EQ(f.health_resp.ticks, 4242u);
-  EXPECT_EQ(f.health_resp.rules_total, 7);
-  ASSERT_EQ(f.health_resp.firing.size(), 2u);
-  EXPECT_EQ(f.health_resp.firing[0].status, 1);
-  EXPECT_EQ(f.health_resp.firing[0].name, "mirror-push-lag");
-  EXPECT_EQ(f.health_resp.firing[0].reason, "p99 612ms over 5s");
-  EXPECT_EQ(f.health_resp.firing[1].status, 2);
-  EXPECT_EQ(f.health_resp.firing[1].name, "watchdog");
+  EXPECT_EQ(std::get<HealthRespBody>(f.body).overall, 1);
+  EXPECT_EQ(std::get<HealthRespBody>(f.body).ticks, 4242u);
+  EXPECT_EQ(std::get<HealthRespBody>(f.body).rules_total, 7);
+  ASSERT_EQ(std::get<HealthRespBody>(f.body).firing.size(), 2u);
+  EXPECT_EQ(std::get<HealthRespBody>(f.body).firing[0].status, 1);
+  EXPECT_EQ(std::get<HealthRespBody>(f.body).firing[0].name, "mirror-push-lag");
+  EXPECT_EQ(std::get<HealthRespBody>(f.body).firing[0].reason, "p99 612ms over 5s");
+  EXPECT_EQ(std::get<HealthRespBody>(f.body).firing[1].status, 2);
+  EXPECT_EQ(std::get<HealthRespBody>(f.body).firing[1].name, "watchdog");
 }
 
 TEST(HealthFrame, AllOkResponseCarriesNoRules) {
@@ -72,9 +63,8 @@ TEST(HealthFrame, AllOkResponseCarriesNoRules) {
   encode_health_response(buf, Status::kOk, 1, body);
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
-  ASSERT_TRUE(frames[0].has_health_resp);
-  EXPECT_TRUE(frames[0].health_resp.firing.empty());
-  EXPECT_EQ(frames[0].health_resp.rules_total, 7);
+  EXPECT_TRUE(std::get<HealthRespBody>(frames[0].body).firing.empty());
+  EXPECT_EQ(std::get<HealthRespBody>(frames[0].body).rules_total, 7);
 }
 
 TEST(HealthFrame, TruncatedRuleRejected) {
@@ -85,8 +75,8 @@ TEST(HealthFrame, TruncatedRuleRejected) {
   encode_health_response(buf, Status::kOk, 2, body);
   // Clip mid-reason: the decoder must flag the body, not read past it.
   const std::size_t payload_len = buf.size() - 4 - 5;
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, payload_len, f),
+  Response f;
+  EXPECT_EQ(decode_response(buf.data() + 4, payload_len, f),
             DecodeResult::kBadBody);
 }
 
@@ -97,18 +87,18 @@ TEST(HealthFrame, FiringCountBombRejected) {
   std::vector<std::uint8_t> buf;
   encode_health_response(buf, Status::kOk, 4, body);
   buf[4 + kHeaderBytes + 10] = 0xFF;  // nfiring
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, buf.size() - 4, f),
+  Response f;
+  EXPECT_EQ(decode_response(buf.data() + 4, buf.size() - 4, f),
             DecodeResult::kBadBody);
 }
 
 TEST(MetricsWatchFrame, RequestAndResponseRoundTrip) {
   std::vector<std::uint8_t> req;
   encode_request(req, MsgType::kMetricsWatch, /*req_id=*/5, std::nullopt);
-  const auto reqf = decode_all(req);
+  const auto reqf = test::requests(req);
   ASSERT_EQ(reqf.size(), 1u);
   EXPECT_EQ(reqf[0].header.type, MsgType::kMetricsWatch);
-  EXPECT_FALSE(reqf[0].has_body);  // empty body = request role
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(reqf[0].body));
 
   std::vector<std::uint8_t> resp;
   encode_metrics_watch_response(resp, Status::kOk, /*req_id=*/5,
@@ -116,8 +106,7 @@ TEST(MetricsWatchFrame, RequestAndResponseRoundTrip) {
   const auto respf = decode_all(resp);
   ASSERT_EQ(respf.size(), 1u);
   EXPECT_EQ(respf[0].header.req_id, 5u);
-  ASSERT_TRUE(respf[0].has_body);
-  EXPECT_EQ(respf[0].metrics_watch.period_ms, 250u);
+  EXPECT_EQ(std::get<MetricsWatchRespBody>(respf[0].body).period_ms, 250u);
 }
 
 obs::MetricSample event_sample() {
@@ -139,16 +128,15 @@ TEST(MetricsEventFrame, PageRoundTrip) {
   encode_metrics_event(buf, body);
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
-  const Frame& f = frames[0];
+  const Response& f = frames[0];
   EXPECT_EQ(f.header.type, MsgType::kMetricsEvent);
   EXPECT_EQ(f.header.req_id, 0u);  // pushes answer nothing
-  ASSERT_TRUE(f.has_metrics_event);
-  EXPECT_EQ(f.metrics_event.tick, 77u);
-  EXPECT_EQ(f.metrics_event.health, 1);
-  EXPECT_EQ(f.metrics_event.total, 40u);
-  EXPECT_EQ(f.metrics_event.start, 20u);
-  ASSERT_EQ(f.metrics_event.metrics.size(), 1u);
-  EXPECT_EQ(f.metrics_event.metrics[0], body.metrics[0]);
+  EXPECT_EQ(std::get<MetricsEventBody>(f.body).tick, 77u);
+  EXPECT_EQ(std::get<MetricsEventBody>(f.body).health, 1);
+  EXPECT_EQ(std::get<MetricsEventBody>(f.body).total, 40u);
+  EXPECT_EQ(std::get<MetricsEventBody>(f.body).start, 20u);
+  ASSERT_EQ(std::get<MetricsEventBody>(f.body).metrics.size(), 1u);
+  EXPECT_EQ(std::get<MetricsEventBody>(f.body).metrics[0], body.metrics[0]);
 }
 
 TEST(MetricsEventFrame, EmptyHeartbeatPageRoundTrips) {
@@ -160,9 +148,8 @@ TEST(MetricsEventFrame, EmptyHeartbeatPageRoundTrips) {
   encode_metrics_event(buf, body);
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
-  ASSERT_TRUE(frames[0].has_metrics_event);
-  EXPECT_EQ(frames[0].metrics_event.tick, 9u);
-  EXPECT_TRUE(frames[0].metrics_event.metrics.empty());
+  EXPECT_EQ(std::get<MetricsEventBody>(frames[0].body).tick, 9u);
+  EXPECT_TRUE(std::get<MetricsEventBody>(frames[0].body).metrics.empty());
 }
 
 TEST(MetricsEventFrame, TruncatedRecordRejected) {
@@ -172,8 +159,8 @@ TEST(MetricsEventFrame, TruncatedRecordRejected) {
   std::vector<std::uint8_t> buf;
   encode_metrics_event(buf, body);
   const std::size_t payload_len = buf.size() - 4 - 6;
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, payload_len, f),
+  Response f;
+  EXPECT_EQ(decode_response(buf.data() + 4, payload_len, f),
             DecodeResult::kBadBody);
 }
 
@@ -188,8 +175,8 @@ TEST(MetricsEventFrame, CountBombRejectedBeforeReserve) {
   buf[count_at + 1] = 0xFF;
   buf[count_at + 2] = 0xFF;
   buf[count_at + 3] = 0xFF;
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, buf.size() - 4, f),
+  Response f;
+  EXPECT_EQ(decode_response(buf.data() + 4, buf.size() - 4, f),
             DecodeResult::kBadBody);
 }
 
@@ -197,10 +184,9 @@ TEST(MetricsEventFrame, ShortBodyRejected) {
   MetricsEventBody body;
   std::vector<std::uint8_t> buf;
   encode_metrics_event(buf, body);
-  // A push shorter than its fixed prefix has no valid interpretation
-  // (there is no request role for pushes).
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, kHeaderBytes + 10, f),
+  // A push shorter than its fixed prefix has no valid interpretation.
+  Response f;
+  EXPECT_EQ(decode_response(buf.data() + 4, kHeaderBytes + 10, f),
             DecodeResult::kBadBody);
 }
 

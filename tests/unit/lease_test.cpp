@@ -90,6 +90,34 @@ TEST(LeaseStateTest, ForeignHeartbeatImposesAcquireFloor) {
   EXPECT_EQ(l.not_before_us(), 50 + kTtl + kSkew);
 }
 
+TEST(LeaseStateTest, LapsedHolderReacquiresLikeANewHolder) {
+  // A holder frozen past its lease resumes under its old view and sends a
+  // heartbeat the peers' mirrors ack (an ack means "applied", not "I
+  // follow you"). That confirmation must not revive the lease at once:
+  // a new leader may have been elected during the lapse.
+  LeaseState l(kTtl, kSkew);
+  l.on_heartbeat_confirmed(0);
+  ASSERT_TRUE(l.valid(500));
+  ASSERT_FALSE(l.valid(kTtl - kSkew));  // lapsed
+  const std::int64_t resume = 5000;
+  l.on_heartbeat_confirmed(resume);
+  EXPECT_FALSE(l.valid(resume));
+  EXPECT_FALSE(l.valid(resume + 10));
+  EXPECT_EQ(l.not_before_us(), resume + kTtl + kSkew);
+  // The steady ttl/4 cadence that follows makes it valid once the wait
+  // is over.
+  for (std::int64_t t = resume + kTtl / 4; t <= resume + kTtl; t += kTtl / 4) {
+    l.on_heartbeat_confirmed(t);
+  }
+  EXPECT_FALSE(l.valid(resume + kTtl + kSkew - 1));
+  EXPECT_TRUE(l.valid(resume + kTtl + kSkew));
+  // A heartbeat sent while the lease still held extends it as before.
+  const std::int64_t until = l.lease_until_us();
+  l.on_heartbeat_confirmed(until - 1);
+  EXPECT_EQ(l.not_before_us(), resume + kTtl + kSkew);
+  EXPECT_TRUE(l.valid(until + 10));
+}
+
 TEST(ReadWaitersTest, WakesInAscendingFenceOrder) {
   ReadWaiters w;
   std::vector<int> order;

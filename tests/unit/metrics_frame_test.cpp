@@ -1,9 +1,11 @@
-// v1.3 METRICS codec (net/frame.h): request/response round-trips with
-// sparse histogram buckets and negative gauges, role selection by body
-// length, pagination arithmetic, and rejection of truncated records.
+// METRICS codec (net/frame.h): request/response round-trips with sparse
+// histogram buckets and negative gauges, pagination arithmetic, and
+// rejection of truncated records and count bombs.
 #include "net/frame.h"
 
 #include <gtest/gtest.h>
+
+#include "frame_codec.h"
 
 #include "common/check.h"
 
@@ -13,18 +15,8 @@
 namespace omega::net {
 namespace {
 
-std::vector<Frame> decode_all(const std::vector<std::uint8_t>& bytes) {
-  FrameDecoder dec;
-  dec.feed(bytes.data(), bytes.size());
-  std::vector<Frame> frames;
-  const std::uint8_t* payload = nullptr;
-  std::size_t len = 0;
-  while (dec.next(payload, len)) {
-    Frame f;
-    EXPECT_EQ(decode_payload(payload, len, f), DecodeResult::kOk);
-    frames.push_back(f);
-  }
-  return frames;
+std::vector<Response> decode_all(const std::vector<std::uint8_t>& bytes) {
+  return test::responses(bytes);
 }
 
 obs::MetricSample counter_sample(std::string name, std::int64_t value) {
@@ -37,21 +29,19 @@ obs::MetricSample counter_sample(std::string name, std::int64_t value) {
 
 TEST(MetricsFrame, RequestRoundTrip) {
   std::vector<std::uint8_t> buf;
-  encode_metrics_request(buf, /*req_id=*/7, MetricsReqBody{123});
-  const auto frames = decode_all(buf);
+  encode_page_request(buf, MsgType::kMetrics, /*req_id=*/7, 123);
+  const auto frames = test::requests(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kMetrics);
   EXPECT_EQ(frames[0].header.req_id, 7u);
-  ASSERT_TRUE(frames[0].has_body);
-  EXPECT_FALSE(frames[0].has_metrics_resp);  // 4-byte body = request role
-  EXPECT_EQ(frames[0].metrics_req.start, 123u);
+  EXPECT_EQ(std::get<PageReqBody>(frames[0].body).start, 123u);
 }
 
 TEST(MetricsFrame, ResponseRoundTripAllKinds) {
   MetricsRespBody body;
   body.total = 5;
   body.start = 2;
-  body.node = 2;  // v1.5 endpoint-identity trailer
+  body.node = 2;  // endpoint-identity trailer
   body.metrics.push_back(counter_sample("net.frames.append", 80000));
   obs::MetricSample gauge;
   gauge.name = "test.negative_gauge";
@@ -70,50 +60,29 @@ TEST(MetricsFrame, ResponseRoundTripAllKinds) {
   encode_metrics_response(buf, Status::kOk, /*req_id=*/9, body);
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
-  const Frame& f = frames[0];
+  const Response& f = frames[0];
   EXPECT_EQ(f.header.type, MsgType::kMetrics);
   EXPECT_EQ(f.header.status, Status::kOk);
-  ASSERT_TRUE(f.has_metrics_resp);
-  EXPECT_EQ(f.metrics_resp.total, 5u);
-  EXPECT_EQ(f.metrics_resp.start, 2u);
-  EXPECT_EQ(f.metrics_resp.node, 2u);
-  ASSERT_EQ(f.metrics_resp.metrics.size(), 3u);
-  EXPECT_EQ(f.metrics_resp.metrics[0], body.metrics[0]);
-  EXPECT_EQ(f.metrics_resp.metrics[1], body.metrics[1]);
-  EXPECT_EQ(f.metrics_resp.metrics[2], body.metrics[2]);
+  EXPECT_EQ(std::get<MetricsRespBody>(f.body).total, 5u);
+  EXPECT_EQ(std::get<MetricsRespBody>(f.body).start, 2u);
+  EXPECT_EQ(std::get<MetricsRespBody>(f.body).node, 2u);
+  ASSERT_EQ(std::get<MetricsRespBody>(f.body).metrics.size(), 3u);
+  EXPECT_EQ(std::get<MetricsRespBody>(f.body).metrics[0], body.metrics[0]);
+  EXPECT_EQ(std::get<MetricsRespBody>(f.body).metrics[1], body.metrics[1]);
+  EXPECT_EQ(std::get<MetricsRespBody>(f.body).metrics[2], body.metrics[2]);
 }
 
 TEST(MetricsFrame, EmptyPageRoundTrip) {
   // A scrape of an empty registry answers total=0 with no records; the
-  // 12-byte body must still decode as a response, not a request.
+  // 16-byte body still decodes, node trailer included.
   MetricsRespBody body;
   std::vector<std::uint8_t> buf;
   encode_metrics_response(buf, Status::kOk, 1, body);
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
-  ASSERT_TRUE(frames[0].has_metrics_resp);
-  EXPECT_EQ(frames[0].metrics_resp.total, 0u);
-  EXPECT_TRUE(frames[0].metrics_resp.metrics.empty());
-  EXPECT_EQ(frames[0].metrics_resp.node, kNoNodeId);  // default trailer
-}
-
-TEST(MetricsFrame, V14ResponseWithoutNodeTrailerStillDecodes) {
-  // A v1.4 peer's response ends right after the records. Strip the
-  // 4-byte node trailer and re-stamp the length prefix: the decoder
-  // must accept the shorter body and default the node to kNoNodeId.
-  MetricsRespBody body;
-  body.total = 1;
-  body.metrics.push_back(counter_sample("old.peer", 7));
-  std::vector<std::uint8_t> buf;
-  encode_metrics_response(buf, Status::kOk, 6, body);
-  const std::size_t payload_len = buf.size() - 4 - 4;
-  Frame f;
-  ASSERT_EQ(decode_payload(buf.data() + 4, payload_len, f),
-            DecodeResult::kOk);
-  ASSERT_TRUE(f.has_metrics_resp);
-  ASSERT_EQ(f.metrics_resp.metrics.size(), 1u);
-  EXPECT_EQ(f.metrics_resp.metrics[0], body.metrics[0]);
-  EXPECT_EQ(f.metrics_resp.node, kNoNodeId);
+  EXPECT_EQ(std::get<MetricsRespBody>(frames[0].body).total, 0u);
+  EXPECT_TRUE(std::get<MetricsRespBody>(frames[0].body).metrics.empty());
+  EXPECT_EQ(std::get<MetricsRespBody>(frames[0].body).node, kNoNodeId);  // default trailer
 }
 
 TEST(MetricsFrame, RecordWireSizeMatchesEncoding) {
@@ -127,7 +96,7 @@ TEST(MetricsFrame, RecordWireSizeMatchesEncoding) {
   std::vector<std::uint8_t> buf;
   encode_metrics_response(buf, Status::kOk, 1, body);
   // frame = u32 len | 12-byte header | u32 total | u32 start | u32 count
-  //         | the one record | u32 node (v1.5 trailer)
+  //         | the one record | u32 node
   EXPECT_EQ(buf.size(),
             4 + kHeaderBytes + 12 + metrics_record_wire_size(hist) + 4);
 }
@@ -141,8 +110,8 @@ TEST(MetricsFrame, TruncatedRecordRejected) {
   // Clip the payload mid-record, re-stamp the length prefix, and expect
   // the decoder to call the body bad rather than read past the end.
   const std::size_t payload_len = buf.size() - 4 - 6;
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, payload_len, f),
+  Response f;
+  EXPECT_EQ(decode_response(buf.data() + 4, payload_len, f),
             DecodeResult::kBadBody);
 }
 
@@ -156,8 +125,8 @@ TEST(MetricsFrame, CountBeyondPayloadRejected) {
   // second record that is not there.
   const std::size_t count_at = 4 + kHeaderBytes + 8;
   buf[count_at] = 2;
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, buf.size() - 4, f),
+  Response f;
+  EXPECT_EQ(decode_response(buf.data() + 4, buf.size() - 4, f),
             DecodeResult::kBadBody);
 }
 
@@ -173,8 +142,8 @@ TEST(MetricsFrame, CountBombRejectedBeforeReserve) {
   buf[count_at + 1] = 0xFF;
   buf[count_at + 2] = 0xFF;
   buf[count_at + 3] = 0xFF;
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, buf.size() - 4, f),
+  Response f;
+  EXPECT_EQ(decode_response(buf.data() + 4, buf.size() - 4, f),
             DecodeResult::kBadBody);
 }
 

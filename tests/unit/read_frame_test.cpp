@@ -1,8 +1,6 @@
-// v1.6 READ wire coverage: request/response round-trips for every status
-// the read path answers with, the role-based length rule at each
-// boundary (< 24 malformed, 24..43 request, >= 44 response), trailing
-// bytes as forward compatibility, hostile length prefixes, and READ
-// frames interleaved with v1.1 traffic on one stream.
+// READ wire coverage: request/response round-trips for every status the
+// read path answers with, the exact-length rule of each role at every
+// truncation, and hostile length prefixes.
 #include "net/frame.h"
 
 #include <gtest/gtest.h>
@@ -10,19 +8,22 @@
 #include <cstdint>
 #include <vector>
 
+#include "frame_codec.h"
+
 namespace omega::net {
 namespace {
 
-Frame decode_one(const std::vector<std::uint8_t>& buf,
-                 DecodeResult expect = DecodeResult::kOk) {
-  FrameDecoder dec;
-  dec.feed(buf.data(), buf.size());
-  const std::uint8_t* payload = nullptr;
-  std::size_t len = 0;
-  EXPECT_TRUE(dec.next(payload, len));
-  Frame f;
-  EXPECT_EQ(decode_payload(payload, len, f), expect);
-  return f;
+ReadReqBody read_request(const std::vector<std::uint8_t>& buf) {
+  Request r;
+  EXPECT_EQ(test::decode_as_request(buf, r), DecodeResult::kOk);
+  EXPECT_EQ(r.header.type, MsgType::kRead);
+  return std::get<ReadReqBody>(r.body);
+}
+
+Response read_response(const std::vector<std::uint8_t>& buf) {
+  Response r;
+  EXPECT_EQ(test::decode_as_response(buf, r), DecodeResult::kOk);
+  return r;
 }
 
 TEST(ReadFrame, RequestRoundTrip) {
@@ -30,17 +31,11 @@ TEST(ReadFrame, RequestRoundTrip) {
   encode_read_request(buf, /*req_id=*/77,
                       ReadReqBody{/*gid=*/9, /*key=*/0xBEEF,
                                   /*min_index=*/123});
-  // Canonical request length: the server's fast path keys on it.
   EXPECT_EQ(buf.size(), 4 + kHeaderBytes + 24);
-  const Frame f = decode_one(buf);
-  EXPECT_EQ(f.header.type, MsgType::kRead);
-  EXPECT_EQ(f.header.status, Status::kOk);
-  EXPECT_EQ(f.header.req_id, 77u);
-  ASSERT_TRUE(f.has_read_req);
-  EXPECT_FALSE(f.has_read_resp);
-  EXPECT_EQ(f.read_req.gid, 9u);
-  EXPECT_EQ(f.read_req.key, 0xBEEFu);
-  EXPECT_EQ(f.read_req.min_index, 123u);
+  const ReadReqBody req = read_request(buf);
+  EXPECT_EQ(req.gid, 9u);
+  EXPECT_EQ(req.key, 0xBEEFu);
+  EXPECT_EQ(req.min_index, 123u);
 }
 
 TEST(ReadFrame, ResponseRoundTripsEveryStatus) {
@@ -60,15 +55,15 @@ TEST(ReadFrame, ResponseRoundTripsEveryStatus) {
     body.epoch = 11;
     encode_read_response(buf, s, /*req_id=*/5, body);
     EXPECT_EQ(buf.size(), 4 + kHeaderBytes + 44);
-    const Frame f = decode_one(buf);
+    const Response f = read_response(buf);
     EXPECT_EQ(f.header.status, s);
-    ASSERT_TRUE(f.has_read_resp) << static_cast<int>(s);
-    EXPECT_EQ(f.read_resp.gid, 4u);
-    EXPECT_EQ(f.read_resp.key, 0x1234u);
-    EXPECT_EQ(f.read_resp.index, 57u);
-    EXPECT_EQ(f.read_resp.commit_index, 900u);
-    EXPECT_EQ(f.read_resp.leader, 2u);
-    EXPECT_EQ(f.read_resp.epoch, 11u);
+    const ReadRespBody& r = std::get<ReadRespBody>(f.body);
+    EXPECT_EQ(r.gid, 4u);
+    EXPECT_EQ(r.key, 0x1234u);
+    EXPECT_EQ(r.index, 57u);
+    EXPECT_EQ(r.commit_index, 900u);
+    EXPECT_EQ(r.leader, 2u);
+    EXPECT_EQ(r.epoch, 11u);
   }
 }
 
@@ -80,16 +75,13 @@ TEST(ReadFrame, NeverAppliedKeyRidesAsIndexZero) {
   body.index = 0;  // the "never applied" sentinel (positions are +1)
   body.commit_index = 10;
   encode_read_response(buf, Status::kLeaseRead, 1, body);
-  const Frame f = decode_one(buf);
-  ASSERT_TRUE(f.has_read_resp);
-  EXPECT_EQ(f.read_resp.index, 0u);
+  EXPECT_EQ(std::get<ReadRespBody>(read_response(buf).body).index, 0u);
 }
 
 TEST(ReadFrame, TruncationBoundaries) {
-  // Build a full response, then replay every truncated prefix of its
-  // body through the decoder: < 24 is malformed, 24..43 decodes as a
-  // REQUEST (the role rule — never as a half-read response), >= 44 as a
-  // response.
+  // Replay every truncated prefix of a full response body through both
+  // decoders: a response decodes only at its 44 bytes, a request only at
+  // 24 — a clipped answer is never half-read as a request.
   std::vector<std::uint8_t> full;
   ReadRespBody body;
   body.gid = 7;
@@ -101,45 +93,19 @@ TEST(ReadFrame, TruncationBoundaries) {
   encode_read_response(full, Status::kLeaseRead, 8, body);
   const std::uint8_t* payload = full.data() + 4;  // skip the length prefix
   for (std::size_t body_len = 0; body_len <= 44; ++body_len) {
-    Frame f;
-    const DecodeResult r =
-        decode_payload(payload, kHeaderBytes + body_len, f);
-    if (body_len < 24) {
-      EXPECT_EQ(r, DecodeResult::kBadBody) << body_len;
-    } else if (body_len < 44) {
-      EXPECT_EQ(r, DecodeResult::kOk) << body_len;
-      EXPECT_TRUE(f.has_read_req) << body_len;
-      EXPECT_FALSE(f.has_read_resp) << body_len;
-      EXPECT_EQ(f.read_req.gid, 7u);
-      EXPECT_EQ(f.read_req.key, 0xABCDu);
-    } else {
-      EXPECT_EQ(r, DecodeResult::kOk);
-      EXPECT_TRUE(f.has_read_resp);
-      EXPECT_EQ(f.read_resp.epoch, 2u);
-    }
+    Response resp;
+    EXPECT_EQ(decode_response(payload, kHeaderBytes + body_len, resp),
+              body_len == 44 ? DecodeResult::kOk : DecodeResult::kBadBody)
+        << body_len;
+    Request req;
+    EXPECT_EQ(decode_request(payload, kHeaderBytes + body_len, req),
+              body_len == 24 ? DecodeResult::kOk : DecodeResult::kBadBody)
+        << body_len;
   }
-}
-
-TEST(ReadFrame, TrailingBytesAreForwardCompatible) {
-  // A future revision may append fields to either role; v1.6 readers
-  // skip them. Response + junk still decodes as the same response.
-  std::vector<std::uint8_t> buf;
-  ReadRespBody body;
-  body.gid = 3;
-  body.key = 5;
-  body.index = 1;
-  encode_read_response(buf, Status::kIndexRead, 2, body);
-  for (int i = 0; i < 6; ++i) buf.push_back(0xEE);
-  // Patch the length prefix to cover the junk.
-  const std::uint32_t n = static_cast<std::uint32_t>(buf.size() - 4);
-  buf[0] = static_cast<std::uint8_t>(n);
-  buf[1] = static_cast<std::uint8_t>(n >> 8);
-  buf[2] = static_cast<std::uint8_t>(n >> 16);
-  buf[3] = static_cast<std::uint8_t>(n >> 24);
-  const Frame f = decode_one(buf);
-  ASSERT_TRUE(f.has_read_resp);
-  EXPECT_EQ(f.read_resp.gid, 3u);
-  EXPECT_EQ(f.read_resp.key, 5u);
+  Response resp;
+  ASSERT_EQ(decode_response(payload, kHeaderBytes + 44, resp),
+            DecodeResult::kOk);
+  EXPECT_EQ(std::get<ReadRespBody>(resp.body).epoch, 2u);
 }
 
 TEST(ReadFrame, OversizedLengthPrefixMarksStreamCorrupt) {
@@ -158,56 +124,6 @@ TEST(ReadFrame, OversizedLengthPrefixMarksStreamCorrupt) {
   std::size_t len = 0;
   EXPECT_FALSE(dec.next(payload, len));
   EXPECT_TRUE(dec.corrupt());
-}
-
-TEST(ReadFrame, InterleavesWithV11TrafficOnOneStream) {
-  // One TCP stream carrying APPEND, READ, and READ_LOG back to back,
-  // fed a byte at a time: each frame reassembles and decodes with its
-  // own role intact.
-  std::vector<std::uint8_t> stream;
-  AppendReqBody app;
-  app.gid = 1;
-  app.client = 10;
-  app.seq = 1;
-  app.command = 77;
-  encode_append_request(stream, 100, app);
-  encode_read_request(stream, 101, ReadReqBody{1, 77, 0});
-  ReadLogReqBody rl;
-  rl.gid = 1;
-  rl.from = 0;
-  rl.max = 16;
-  encode_readlog_request(stream, 102, rl);
-  ReadRespBody rr;
-  rr.gid = 1;
-  rr.key = 77;
-  rr.index = 1;
-  rr.commit_index = 1;
-  encode_read_response(stream, Status::kLeaseRead, 101, rr);
-
-  FrameDecoder dec;
-  std::vector<Frame> frames;
-  for (const std::uint8_t b : stream) {
-    dec.feed(&b, 1);
-    const std::uint8_t* payload = nullptr;
-    std::size_t len = 0;
-    while (dec.next(payload, len)) {
-      Frame f;
-      ASSERT_EQ(decode_payload(payload, len, f), DecodeResult::kOk);
-      frames.push_back(f);
-    }
-  }
-  ASSERT_EQ(frames.size(), 4u);
-  EXPECT_EQ(frames[0].header.type, MsgType::kAppend);
-  EXPECT_TRUE(frames[0].has_append_req);
-  EXPECT_EQ(frames[1].header.type, MsgType::kRead);
-  ASSERT_TRUE(frames[1].has_read_req);
-  EXPECT_EQ(frames[1].read_req.key, 77u);
-  EXPECT_EQ(frames[2].header.type, MsgType::kReadLog);
-  EXPECT_TRUE(frames[2].has_readlog_req);
-  EXPECT_EQ(frames[3].header.type, MsgType::kRead);
-  ASSERT_TRUE(frames[3].has_read_resp);
-  EXPECT_EQ(frames[3].read_resp.index, 1u);
-  EXPECT_EQ(frames[3].header.status, Status::kLeaseRead);
 }
 
 }  // namespace

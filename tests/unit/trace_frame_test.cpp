@@ -1,29 +1,20 @@
-// v1.4 tracing codec (net/frame.h): TRACE_DUMP request/response
-// round-trips with pagination arithmetic, rejection of truncated and
-// count-bombed pages, trace ids riding APPEND/COMMIT_EVENT bodies, and
-// v1.1 compatibility (short bodies decode with trace 0). Mirrors the
+// Tracing codec (net/frame.h): TRACE_DUMP request/response round-trips
+// with pagination arithmetic, rejection of truncated and count-bombed
+// pages, and trace ids riding APPEND/COMMIT_EVENT bodies. Mirrors the
 // hardening bar set by metrics_frame_test.cpp.
 #include "net/frame.h"
 
 #include <gtest/gtest.h>
+
+#include "frame_codec.h"
 
 #include <vector>
 
 namespace omega::net {
 namespace {
 
-std::vector<Frame> decode_all(const std::vector<std::uint8_t>& bytes) {
-  FrameDecoder dec;
-  dec.feed(bytes.data(), bytes.size());
-  std::vector<Frame> frames;
-  const std::uint8_t* payload = nullptr;
-  std::size_t len = 0;
-  while (dec.next(payload, len)) {
-    Frame f;
-    EXPECT_EQ(decode_payload(payload, len, f), DecodeResult::kOk);
-    frames.push_back(f);
-  }
-  return frames;
+std::vector<Response> decode_all(const std::vector<std::uint8_t>& bytes) {
+  return test::responses(bytes);
 }
 
 obs::TraceRecord record(std::uint64_t ts, obs::TraceEvent ev,
@@ -41,13 +32,12 @@ obs::TraceRecord record(std::uint64_t ts, obs::TraceEvent ev,
 
 TEST(TraceFrame, RequestRoundTrip) {
   std::vector<std::uint8_t> buf;
-  encode_trace_dump_request(buf, /*req_id=*/21, TraceDumpReqBody{4096});
-  const auto frames = decode_all(buf);
+  encode_page_request(buf, MsgType::kTraceDump, /*req_id=*/21, 4096);
+  const auto frames = test::requests(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kTraceDump);
   EXPECT_EQ(frames[0].header.req_id, 21u);
-  EXPECT_FALSE(frames[0].has_trace_resp);  // 4-byte body = request role
-  EXPECT_EQ(frames[0].trace_req.start, 4096u);
+  EXPECT_EQ(std::get<PageReqBody>(frames[0].body).start, 4096u);
 }
 
 TEST(TraceFrame, ResponseRoundTrip) {
@@ -63,36 +53,34 @@ TEST(TraceFrame, ResponseRoundTrip) {
   encode_trace_dump_response(buf, Status::kOk, /*req_id=*/5, body);
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
-  const Frame& f = frames[0];
+  const Response& f = frames[0];
   EXPECT_EQ(f.header.type, MsgType::kTraceDump);
   EXPECT_EQ(f.header.status, Status::kOk);
-  ASSERT_TRUE(f.has_trace_resp);
-  EXPECT_EQ(f.trace_resp.total, 9u);
-  EXPECT_EQ(f.trace_resp.start, 2u);
-  EXPECT_EQ(f.trace_resp.realtime_offset_ns, -123456789);
-  ASSERT_EQ(f.trace_resp.records.size(), 2u);
-  EXPECT_EQ(f.trace_resp.records[0].ts_ns, 1000u);
-  EXPECT_EQ(f.trace_resp.records[0].thread, 3u);
-  EXPECT_EQ(f.trace_resp.records[0].ev, obs::TraceEvent::kAppendEnqueue);
-  EXPECT_EQ(f.trace_resp.records[0].a, 41u);
-  EXPECT_EQ(f.trace_resp.records[0].b, 42u);
-  EXPECT_EQ(f.trace_resp.records[0].trace_lo, 0xAAAAu);
-  EXPECT_EQ(f.trace_resp.records[0].trace_hi, 0u);
-  EXPECT_EQ(f.trace_resp.records[1].ev, obs::TraceEvent::kBatchSeal);
-  EXPECT_EQ(f.trace_resp.records[1].trace_hi, 0xBBBBu);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).total, 9u);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).start, 2u);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).realtime_offset_ns, -123456789);
+  ASSERT_EQ(std::get<TraceDumpRespBody>(f.body).records.size(), 2u);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].ts_ns, 1000u);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].thread, 3u);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].ev, obs::TraceEvent::kAppendEnqueue);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].a, 41u);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].b, 42u);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].trace_lo, 0xAAAAu);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].trace_hi, 0u);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[1].ev, obs::TraceEvent::kBatchSeal);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[1].trace_hi, 0xBBBBu);
 }
 
 TEST(TraceFrame, EmptyPageRoundTrip) {
   // A scrape of idle rings answers total=0 with no records; the 20-byte
-  // body must still decode as a response, not a request.
+  // fixed part alone is a complete page.
   TraceDumpRespBody body;
   std::vector<std::uint8_t> buf;
   encode_trace_dump_response(buf, Status::kOk, 1, body);
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
-  ASSERT_TRUE(frames[0].has_trace_resp);
-  EXPECT_EQ(frames[0].trace_resp.total, 0u);
-  EXPECT_TRUE(frames[0].trace_resp.records.empty());
+  EXPECT_EQ(std::get<TraceDumpRespBody>(frames[0].body).total, 0u);
+  EXPECT_TRUE(std::get<TraceDumpRespBody>(frames[0].body).records.empty());
 }
 
 TEST(TraceFrame, RecordWireSizeMatchesEncoding) {
@@ -121,8 +109,7 @@ TEST(TraceFrame, FullPageFitsThePayloadCap) {
   encode_trace_dump_response(buf, Status::kOk, 1, body);
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
-  ASSERT_TRUE(frames[0].has_trace_resp);
-  EXPECT_EQ(frames[0].trace_resp.records.size(), kPage);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(frames[0].body).records.size(), kPage);
   EXPECT_LE(buf.size() - 4, kMaxPayloadBytes);
 }
 
@@ -135,8 +122,8 @@ TEST(TraceFrame, TruncatedRecordRejected) {
   // Clip the payload mid-record and expect the decoder to call the body
   // bad rather than read past the end.
   const std::size_t payload_len = buf.size() - 4 - 11;
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, payload_len, f),
+  Response f;
+  EXPECT_EQ(decode_response(buf.data() + 4, payload_len, f),
             DecodeResult::kBadBody);
 }
 
@@ -150,8 +137,8 @@ TEST(TraceFrame, CountBeyondPayloadRejected) {
   // claim a second record that is not there.
   const std::size_t count_at = 4 + kHeaderBytes + 16;
   buf[count_at] = 2;
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, buf.size() - 4, f),
+  Response f;
+  EXPECT_EQ(decode_response(buf.data() + 4, buf.size() - 4, f),
             DecodeResult::kBadBody);
 }
 
@@ -167,8 +154,8 @@ TEST(TraceFrame, CountBombRejectedBeforeReserve) {
   buf[count_at + 1] = 0xFF;
   buf[count_at + 2] = 0xFF;
   buf[count_at + 3] = 0xFF;
-  Frame f;
-  EXPECT_EQ(decode_payload(buf.data() + 4, buf.size() - 4, f),
+  Response f;
+  EXPECT_EQ(decode_response(buf.data() + 4, buf.size() - 4, f),
             DecodeResult::kBadBody);
 }
 
@@ -181,20 +168,11 @@ TEST(TraceFrame, AppendRequestCarriesTraceId) {
   req.trace = 0xDEADBEEFCAFEF00DULL;
   std::vector<std::uint8_t> buf;
   encode_append_request(buf, /*req_id=*/2, req);
-  const auto frames = decode_all(buf);
+  const auto frames = test::requests(buf);
   ASSERT_EQ(frames.size(), 1u);
-  ASSERT_TRUE(frames[0].has_append_req);
-  EXPECT_EQ(frames[0].append_req.trace, 0xDEADBEEFCAFEF00DULL);
-  EXPECT_EQ(frames[0].append_req.command, 17u);
-
-  // v1.1 compatibility: clipping the trailing trace id yields the legacy
-  // 32-byte request, which must decode as a request with trace 0.
-  Frame legacy;
-  ASSERT_EQ(decode_payload(buf.data() + 4, buf.size() - 4 - 8, legacy),
-            DecodeResult::kOk);
-  ASSERT_TRUE(legacy.has_append_req);
-  EXPECT_EQ(legacy.append_req.trace, 0u);
-  EXPECT_EQ(legacy.append_req.command, 17u);
+  const AppendReqBody& got = std::get<AppendReqBody>(frames[0].body);
+  EXPECT_EQ(got.trace, 0xDEADBEEFCAFEF00DULL);
+  EXPECT_EQ(got.command, 17u);
 }
 
 TEST(TraceFrame, AppendResponseEchoesTraceId) {
@@ -208,21 +186,9 @@ TEST(TraceFrame, AppendResponseEchoesTraceId) {
   encode_append_response(buf, Status::kOk, /*req_id=*/2, resp);
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
-  // The 36-byte v1.4 response sits between the 32-byte v1.1 request and
-  // the 40-byte v1.4 request; role selection must not confuse it for
-  // either.
-  EXPECT_FALSE(frames[0].has_append_req);
-  EXPECT_EQ(frames[0].append_resp.trace, 0x12345678u);
-  EXPECT_EQ(frames[0].append_resp.index, 99u);
-
-  // v1.1 compatibility: the clipped 28-byte response decodes with
-  // trace 0.
-  Frame legacy;
-  ASSERT_EQ(decode_payload(buf.data() + 4, buf.size() - 4 - 8, legacy),
-            DecodeResult::kOk);
-  EXPECT_FALSE(legacy.has_append_req);
-  EXPECT_EQ(legacy.append_resp.trace, 0u);
-  EXPECT_EQ(legacy.append_resp.index, 99u);
+  const AppendRespBody& got = std::get<AppendRespBody>(frames[0].body);
+  EXPECT_EQ(got.trace, 0x12345678u);
+  EXPECT_EQ(got.index, 99u);
 }
 
 TEST(TraceFrame, CommitEventCarriesTraceId) {
@@ -232,16 +198,10 @@ TEST(TraceFrame, CommitEventCarriesTraceId) {
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kCommitEvent);
-  EXPECT_EQ(frames[0].commit.index, 42u);
-  EXPECT_EQ(frames[0].commit.value, 777u);
-  EXPECT_EQ(frames[0].commit.trace, 0xFEEDu);
-
-  // v1.1 compatibility: the clipped 24-byte event decodes with trace 0.
-  Frame legacy;
-  ASSERT_EQ(decode_payload(buf.data() + 4, buf.size() - 4 - 8, legacy),
-            DecodeResult::kOk);
-  EXPECT_EQ(legacy.commit.value, 777u);
-  EXPECT_EQ(legacy.commit.trace, 0u);
+  const CommitBody& got = std::get<CommitBody>(frames[0].body);
+  EXPECT_EQ(got.index, 42u);
+  EXPECT_EQ(got.value, 777u);
+  EXPECT_EQ(got.trace, 0xFEEDu);
 }
 
 }  // namespace
