@@ -376,7 +376,8 @@ void read_storm(int fd, const std::vector<std::uint64_t>& pool,
     body.gid = kGid;
     body.key = pool[j % pool.size()];
     body.min_index = 0;
-    net::encode_read_request(req, /*req_id=*/j, body);
+    net::encode_fixed(req, net::MsgType::kRead, net::Status::kOk, /*req_id=*/j,
+                      body);
   }
   OMEGA_CHECK(req.size() == kBatch * kReqBytes,
               "canonical READ request is not " << kReqBytes << "B on the wire");

@@ -476,7 +476,7 @@ std::uint64_t Client::append_async(svc::GroupId gid, std::uint64_t client,
   req.seq = seq;
   req.command = command;
   req.trace = mint_trace_id();
-  encode_append_request(out_, id, req);
+  encode_fixed(out_, MsgType::kAppend, Status::kOk, id, req);
   send_all(out_.data(), out_.size());
   outstanding_appends_.insert(id);
   return id;
@@ -565,7 +565,7 @@ std::uint64_t Client::read_async(svc::GroupId gid, std::uint64_t key,
   req.gid = gid;
   req.key = key;
   req.min_index = min_index;
-  encode_read_request(out_, id, req);
+  encode_fixed(out_, MsgType::kRead, Status::kOk, id, req);
   send_all(out_.data(), out_.size());
   outstanding_reads_.insert(id);
   return id;
@@ -593,7 +593,7 @@ Client::LogView Client::read_log(svc::GroupId gid, std::uint64_t from,
   req.gid = gid;
   req.from = from;
   req.max = max;
-  encode_readlog_request(out_, id, req);
+  encode_fixed(out_, MsgType::kReadLog, Status::kOk, id, req);
   Response f = call_encoded(MsgType::kReadLog, id);
   LogView v;
   v.status = f.header.status;
@@ -631,7 +631,7 @@ Client::AppendResult Client::commit_watch(svc::GroupId gid) {
   if (f.header.status == Status::kOk) commit_watched_gids_.insert(gid);
   AppendResult r;
   r.status = f.header.status;
-  r.index = std::get<CommitBody>(f.body).index;  // commit-index snapshot
+  r.index = std::get<CommitSnapshotBody>(f.body).commit_index;
   return r;
 }
 
@@ -643,7 +643,8 @@ Client::Result Client::commit_unwatch(svc::GroupId gid) {
 Client::SessionInfo Client::open_session(svc::GroupId gid,
                                          std::uint64_t client) {
   const std::uint64_t id = begin_request();
-  encode_session_open_request(out_, id, SessionOpenReqBody{gid, client});
+  encode_fixed(out_, MsgType::kSessionOpen, Status::kOk, id,
+               SessionOpenReqBody{gid, client});
   const Response f = call_encoded(MsgType::kSessionOpen, id);
   SessionInfo info;
   info.status = f.header.status;
@@ -672,7 +673,7 @@ template <class Page, class Take>
 Status Client::page_through(MsgType type, Take take) {
   for (std::uint32_t start = 0;;) {
     const std::uint64_t id = begin_request();
-    encode_page_request(out_, type, id, start);
+    encode_fixed(out_, type, Status::kOk, id, PageReqBody{start});
     const Response f = call_encoded(type, id);
     if (f.header.status != Status::kOk) return f.header.status;
     const Page& page = std::get<Page>(f.body);

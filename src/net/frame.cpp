@@ -1,87 +1,18 @@
 #include "net/frame.h"
 
 #include <algorithm>
-#include <type_traits>
-#include <utility>
 
 #include "common/check.h"
 
 namespace omega::net {
 namespace {
 
-/// Appends `v` little-endian in sizeof(T) bytes (enums by their value).
-template <class T>
-void put_le(std::vector<std::uint8_t>& out, T v) {
-  std::uint64_t u = 0;
-  if constexpr (std::is_enum_v<T>) {
-    u = static_cast<std::uint64_t>(static_cast<std::underlying_type_t<T>>(v));
-  } else {
-    u = static_cast<std::uint64_t>(v);
-  }
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    out.push_back(static_cast<std::uint8_t>(u >> (8 * i)));
-  }
-}
+using detail::get_le;
+using detail::LayoutOf;
+using detail::put_le;
 
-template <class T>
-T get_le(const std::uint8_t* p) {
-  std::uint64_t u = 0;
-  for (std::size_t i = sizeof(T); i-- > 0;) u = u << 8 | p[i];
-  return static_cast<T>(u);
-}
-
-/// A fixed-layout body described once, as its list of fields in wire
-/// order: the same list drives encode, decode and the body length.
-template <class B, auto... Fields>
-struct Fixed {
-  static constexpr std::size_t kBytes =
-      (sizeof(std::declval<const B&>().*Fields) + ...);
-
-  static void put(std::vector<std::uint8_t>& out, const B& b) {
-    (put_le(out, b.*Fields), ...);
-  }
-
-  static B get(const std::uint8_t* p) {
-    B b;
-    ((b.*Fields = get_le<std::remove_cvref_t<decltype(b.*Fields)>>(p),
-      p += sizeof(b.*Fields)),
-     ...);
-    return b;
-  }
-};
-
-using GidL = Fixed<GidBody, &GidBody::gid>;
-using ViewL = Fixed<ViewBody, &ViewBody::gid, &ViewBody::leader,
-                    &ViewBody::epoch>;
-using AppendReqL =
-    Fixed<AppendReqBody, &AppendReqBody::gid, &AppendReqBody::client,
-          &AppendReqBody::seq, &AppendReqBody::command, &AppendReqBody::trace>;
-using AppendRespL =
-    Fixed<AppendRespBody, &AppendRespBody::gid, &AppendRespBody::index,
-          &AppendRespBody::leader, &AppendRespBody::epoch,
-          &AppendRespBody::trace>;
-using ReadLogReqL = Fixed<ReadLogReqBody, &ReadLogReqBody::gid,
-                          &ReadLogReqBody::from, &ReadLogReqBody::max>;
-using CommitSnapshotL = Fixed<CommitBody, &CommitBody::gid, &CommitBody::index>;
-using CommitEventL = Fixed<CommitBody, &CommitBody::gid, &CommitBody::index,
-                           &CommitBody::value, &CommitBody::trace>;
-using RegHelloL = Fixed<RegHelloBody, &RegHelloBody::node>;
-using RegAckL = Fixed<RegAckBody, &RegAckBody::seq>;
-using SessionReqL = Fixed<SessionOpenReqBody, &SessionOpenReqBody::gid,
-                          &SessionOpenReqBody::client>;
-using SessionRespL = Fixed<SessionOpenRespBody, &SessionOpenRespBody::gid,
-                           &SessionOpenRespBody::ttl_us>;
-using PageReqL = Fixed<PageReqBody, &PageReqBody::start>;
-using MetricsWatchL =
-    Fixed<MetricsWatchRespBody, &MetricsWatchRespBody::period_ms>;
-using ReadReqL = Fixed<ReadReqBody, &ReadReqBody::gid, &ReadReqBody::key,
-                       &ReadReqBody::min_index>;
-using ReadRespL =
-    Fixed<ReadRespBody, &ReadRespBody::gid, &ReadRespBody::key,
-          &ReadRespBody::index, &ReadRespBody::commit_index,
-          &ReadRespBody::leader, &ReadRespBody::epoch>;
 using TraceRecordL =
-    Fixed<obs::TraceRecord, &obs::TraceRecord::ts_ns,
+    detail::Fixed<obs::TraceRecord, &obs::TraceRecord::ts_ns,
           &obs::TraceRecord::thread, &obs::TraceRecord::ev,
           &obs::TraceRecord::a, &obs::TraceRecord::b,
           &obs::TraceRecord::trace_lo, &obs::TraceRecord::trace_hi>;
@@ -91,36 +22,6 @@ static_assert(TraceRecordL::kBytes == kTraceRecordWireBytes);
 constexpr std::size_t kMinMetricBytes = 1 + 1 + 8 + 8 + 1;
 /// Smallest health rule: status | two empty length-prefixed strings.
 constexpr std::size_t kMinRuleBytes = 3;
-
-/// Reserves the length prefix, returns its offset for patching.
-std::size_t begin_frame(std::vector<std::uint8_t>& out,
-                        const FrameHeader& h) {
-  const std::size_t len_at = out.size();
-  put_le<std::uint32_t>(out, 0);  // patched by end_frame
-  put_le<std::uint8_t>(out, kMagic);
-  put_le<std::uint8_t>(out, kVersion);
-  put_le(out, h.type);
-  put_le(out, h.status);
-  put_le<std::uint64_t>(out, h.req_id);
-  return len_at;
-}
-
-void end_frame(std::vector<std::uint8_t>& out, std::size_t len_at) {
-  const std::size_t payload_len = out.size() - len_at - 4;
-  OMEGA_CHECK(payload_len <= kMaxPayloadBytes,
-              "frame overflows the payload cap: " << payload_len);
-  for (std::size_t i = 0; i < 4; ++i) {
-    out[len_at + i] = static_cast<std::uint8_t>(payload_len >> (8 * i));
-  }
-}
-
-template <class L, class B>
-void encode_fixed(std::vector<std::uint8_t>& out, MsgType type, Status status,
-                  std::uint64_t req_id, const B& body) {
-  const std::size_t at = begin_frame(out, FrameHeader{type, status, req_id});
-  L::put(out, body);
-  end_frame(out, at);
-}
 
 /// Appends one metric record (the METRICS/METRICS_EVENT shared format).
 void put_metric_record(std::vector<std::uint8_t>& out,
@@ -219,11 +120,10 @@ bool take_metrics(Reader& r, std::vector<obs::MetricSample>& out) {
   return r.ok;
 }
 
-template <class L, class Body>
-DecodeResult decode_fixed(const std::uint8_t* body, std::size_t n,
-                          Body& out) {
-  if (n != L::kBytes) return DecodeResult::kBadBody;
-  out = L::get(body);
+template <class B, class Out>
+DecodeResult decode_fixed(const std::uint8_t* body, std::size_t n, Out& out) {
+  if (n != LayoutOf<B>::kBytes) return DecodeResult::kBadBody;
+  out = LayoutOf<B>::get(body);
   return DecodeResult::kOk;
 }
 
@@ -254,6 +154,34 @@ DecodeResult decode_header(const std::uint8_t* data, std::size_t len,
 
 }  // namespace
 
+namespace detail {
+
+std::size_t begin_frame(std::vector<std::uint8_t>& out,
+                        const FrameHeader& h) {
+  const std::size_t len_at = out.size();
+  put_le<std::uint32_t>(out, 0);  // patched by end_frame
+  put_le<std::uint8_t>(out, kMagic);
+  put_le<std::uint8_t>(out, kVersion);
+  put_le(out, h.type);
+  put_le(out, h.status);
+  put_le<std::uint64_t>(out, h.req_id);
+  return len_at;
+}
+
+void end_frame(std::vector<std::uint8_t>& out, std::size_t len_at) {
+  const std::size_t payload_len = out.size() - len_at - 4;
+  OMEGA_CHECK(payload_len <= kMaxPayloadBytes,
+              "frame overflows the payload cap: " << payload_len);
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[len_at + i] = static_cast<std::uint8_t>(payload_len >> (8 * i));
+  }
+}
+
+}  // namespace detail
+
+using detail::begin_frame;
+using detail::end_frame;
+
 void encode_request(std::vector<std::uint8_t>& out, MsgType type,
                     std::uint64_t req_id, std::optional<WireGroupId> gid) {
   const std::size_t at =
@@ -262,36 +190,9 @@ void encode_request(std::vector<std::uint8_t>& out, MsgType type,
   end_frame(out, at);
 }
 
-void encode_view_frame(std::vector<std::uint8_t>& out, MsgType type,
-                       Status status, std::uint64_t req_id,
-                       const ViewBody& view) {
-  encode_fixed<ViewL>(out, type, status, req_id, view);
-}
-
 void encode_simple_response(std::vector<std::uint8_t>& out, MsgType type,
                             Status status, std::uint64_t req_id) {
   end_frame(out, begin_frame(out, FrameHeader{type, status, req_id}));
-}
-
-void encode_gid_response(std::vector<std::uint8_t>& out, MsgType type,
-                         Status status, std::uint64_t req_id,
-                         WireGroupId gid) {
-  encode_fixed<GidL>(out, type, status, req_id, GidBody{gid});
-}
-
-void encode_append_request(std::vector<std::uint8_t>& out,
-                           std::uint64_t req_id, const AppendReqBody& body) {
-  encode_fixed<AppendReqL>(out, MsgType::kAppend, Status::kOk, req_id, body);
-}
-
-void encode_append_response(std::vector<std::uint8_t>& out, Status status,
-                            std::uint64_t req_id, const AppendRespBody& body) {
-  encode_fixed<AppendRespL>(out, MsgType::kAppend, status, req_id, body);
-}
-
-void encode_readlog_request(std::vector<std::uint8_t>& out,
-                            std::uint64_t req_id, const ReadLogReqBody& body) {
-  encode_fixed<ReadLogReqL>(out, MsgType::kReadLog, Status::kOk, req_id, body);
 }
 
 void encode_readlog_response(std::vector<std::uint8_t>& out, Status status,
@@ -307,26 +208,6 @@ void encode_readlog_response(std::vector<std::uint8_t>& out, Status status,
   put_le<std::uint32_t>(out, entries.size());
   for (const std::uint64_t v : entries) put_le<std::uint64_t>(out, v);
   end_frame(out, at);
-}
-
-void encode_commit_snapshot(std::vector<std::uint8_t>& out, Status status,
-                            std::uint64_t req_id, WireGroupId gid,
-                            std::uint64_t commit_index) {
-  encode_fixed<CommitSnapshotL>(out, MsgType::kCommitWatch, status, req_id,
-                                CommitBody{gid, commit_index, 0, 0});
-}
-
-void encode_commit_event(std::vector<std::uint8_t>& out, WireGroupId gid,
-                         std::uint64_t index, std::uint64_t value,
-                         std::uint64_t trace) {
-  encode_fixed<CommitEventL>(out, MsgType::kCommitEvent, Status::kOk,
-                             /*req_id=*/0, CommitBody{gid, index, value, trace});
-}
-
-void encode_reg_hello(std::vector<std::uint8_t>& out, Status status,
-                      std::uint64_t req_id, std::uint32_t node) {
-  encode_fixed<RegHelloL>(out, MsgType::kRegHello, status, req_id,
-                          RegHelloBody{node});
 }
 
 void encode_reg_push(std::vector<std::uint8_t>& out, WireGroupId gid,
@@ -346,33 +227,10 @@ void encode_reg_push(std::vector<std::uint8_t>& out, WireGroupId gid,
   end_frame(out, at);
 }
 
-void encode_reg_ack(std::vector<std::uint8_t>& out, std::uint64_t seq) {
-  encode_fixed<RegAckL>(out, MsgType::kRegAck, Status::kOk, /*req_id=*/0,
-                        RegAckBody{seq});
-}
-
-void encode_session_open_request(std::vector<std::uint8_t>& out,
-                                 std::uint64_t req_id,
-                                 const SessionOpenReqBody& body) {
-  encode_fixed<SessionReqL>(out, MsgType::kSessionOpen, Status::kOk, req_id,
-                            body);
-}
-
-void encode_session_open_response(std::vector<std::uint8_t>& out,
-                                  Status status, std::uint64_t req_id,
-                                  const SessionOpenRespBody& body) {
-  encode_fixed<SessionRespL>(out, MsgType::kSessionOpen, status, req_id, body);
-}
-
 std::size_t metrics_record_wire_size(const obs::MetricSample& m) noexcept {
   // Names are checked <= 255 bytes at registration and again at encode, so
   // the size needs no clamping here.
   return kMinMetricBytes + m.name.size() + m.buckets.size() * 9;
-}
-
-void encode_page_request(std::vector<std::uint8_t>& out, MsgType type,
-                         std::uint64_t req_id, std::uint32_t start) {
-  encode_fixed<PageReqL>(out, type, Status::kOk, req_id, PageReqBody{start});
 }
 
 void encode_metrics_response(std::vector<std::uint8_t>& out, Status status,
@@ -420,13 +278,6 @@ void encode_health_response(std::vector<std::uint8_t>& out, Status status,
   end_frame(out, at);
 }
 
-void encode_metrics_watch_response(std::vector<std::uint8_t>& out,
-                                   Status status, std::uint64_t req_id,
-                                   std::uint32_t period_ms) {
-  encode_fixed<MetricsWatchL>(out, MsgType::kMetricsWatch, status, req_id,
-                              MetricsWatchRespBody{period_ms});
-}
-
 void encode_metrics_event(std::vector<std::uint8_t>& out,
                           const MetricsEventBody& body) {
   const std::size_t at = begin_frame(
@@ -438,16 +289,6 @@ void encode_metrics_event(std::vector<std::uint8_t>& out,
   put_le<std::uint32_t>(out, body.metrics.size());
   for (const obs::MetricSample& m : body.metrics) put_metric_record(out, m);
   end_frame(out, at);
-}
-
-void encode_read_request(std::vector<std::uint8_t>& out, std::uint64_t req_id,
-                         const ReadReqBody& body) {
-  encode_fixed<ReadReqL>(out, MsgType::kRead, Status::kOk, req_id, body);
-}
-
-void encode_read_response(std::vector<std::uint8_t>& out, Status status,
-                          std::uint64_t req_id, const ReadRespBody& body) {
-  encode_fixed<ReadRespL>(out, MsgType::kRead, status, req_id, body);
 }
 
 DecodeResult decode_request(const std::uint8_t* data, std::size_t len,
@@ -465,17 +306,17 @@ DecodeResult decode_request(const std::uint8_t* data, std::size_t len,
     case MsgType::kUnwatch:
     case MsgType::kCommitWatch:
     case MsgType::kCommitUnwatch:
-      return decode_fixed<GidL>(body, n, out.body);
+      return decode_fixed<GidBody>(body, n, out.body);
     case MsgType::kPing:
     case MsgType::kHealth:
     case MsgType::kMetricsWatch:
       return decode_empty(n);
     case MsgType::kAppend:
-      return decode_fixed<AppendReqL>(body, n, out.body);
+      return decode_fixed<AppendReqBody>(body, n, out.body);
     case MsgType::kReadLog:
-      return decode_fixed<ReadLogReqL>(body, n, out.body);
+      return decode_fixed<ReadLogReqBody>(body, n, out.body);
     case MsgType::kRegHello:
-      return decode_fixed<RegHelloL>(body, n, out.body);
+      return decode_fixed<RegHelloBody>(body, n, out.body);
     case MsgType::kRegPush:
       return decode_variable<RegPushBody>(
           body, n, out.body, [](Reader& r, RegPushBody& b) {
@@ -491,12 +332,12 @@ DecodeResult decode_request(const std::uint8_t* data, std::size_t len,
             return true;
           });
     case MsgType::kSessionOpen:
-      return decode_fixed<SessionReqL>(body, n, out.body);
+      return decode_fixed<SessionOpenReqBody>(body, n, out.body);
     case MsgType::kMetrics:
     case MsgType::kTraceDump:
-      return decode_fixed<PageReqL>(body, n, out.body);
+      return decode_fixed<PageReqBody>(body, n, out.body);
     case MsgType::kRead:
-      return decode_fixed<ReadReqL>(body, n, out.body);
+      return decode_fixed<ReadReqBody>(body, n, out.body);
     case MsgType::kEvent:
     case MsgType::kCommitEvent:
     case MsgType::kRegAck:
@@ -519,14 +360,14 @@ DecodeResult decode_response(const std::uint8_t* data, std::size_t len,
     case MsgType::kLeader:
     case MsgType::kWatch:
     case MsgType::kEvent:
-      return decode_fixed<ViewL>(body, n, out.body);
+      return decode_fixed<ViewBody>(body, n, out.body);
     case MsgType::kUnwatch:
     case MsgType::kCommitUnwatch:
-      return decode_fixed<GidL>(body, n, out.body);
+      return decode_fixed<GidBody>(body, n, out.body);
     case MsgType::kPing:
       return decode_empty(n);
     case MsgType::kAppend:
-      return decode_fixed<AppendRespL>(body, n, out.body);
+      return decode_fixed<AppendRespBody>(body, n, out.body);
     case MsgType::kReadLog:
       return decode_variable<ReadLogRespBody>(
           body, n, out.body, [](Reader& r, ReadLogRespBody& b) {
@@ -539,15 +380,15 @@ DecodeResult decode_response(const std::uint8_t* data, std::size_t len,
             return true;
           });
     case MsgType::kCommitWatch:
-      return decode_fixed<CommitSnapshotL>(body, n, out.body);
+      return decode_fixed<CommitSnapshotBody>(body, n, out.body);
     case MsgType::kCommitEvent:
-      return decode_fixed<CommitEventL>(body, n, out.body);
+      return decode_fixed<CommitBody>(body, n, out.body);
     case MsgType::kRegHello:
-      return decode_fixed<RegHelloL>(body, n, out.body);
+      return decode_fixed<RegHelloBody>(body, n, out.body);
     case MsgType::kRegAck:
-      return decode_fixed<RegAckL>(body, n, out.body);
+      return decode_fixed<RegAckBody>(body, n, out.body);
     case MsgType::kSessionOpen:
-      return decode_fixed<SessionRespL>(body, n, out.body);
+      return decode_fixed<SessionOpenRespBody>(body, n, out.body);
     case MsgType::kMetrics:
       return decode_variable<MetricsRespBody>(
           body, n, out.body, [](Reader& r, MetricsRespBody& b) {
@@ -589,7 +430,7 @@ DecodeResult decode_response(const std::uint8_t* data, std::size_t len,
             return true;
           });
     case MsgType::kMetricsWatch:
-      return decode_fixed<MetricsWatchL>(body, n, out.body);
+      return decode_fixed<MetricsWatchRespBody>(body, n, out.body);
     case MsgType::kMetricsEvent:
       return decode_variable<MetricsEventBody>(
           body, n, out.body, [](Reader& r, MetricsEventBody& b) {
@@ -600,7 +441,7 @@ DecodeResult decode_response(const std::uint8_t* data, std::size_t len,
             return take_metrics(r, b.metrics);
           });
     case MsgType::kRead:
-      return decode_fixed<ReadRespL>(body, n, out.body);
+      return decode_fixed<ReadRespBody>(body, n, out.body);
     case MsgType::kRegPush:
       return DecodeResult::kBadBody;  // no response role
   }

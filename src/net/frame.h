@@ -95,6 +95,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -200,13 +202,18 @@ struct ReadLogRespBody {
   std::vector<std::uint64_t> entries;
 };
 
-/// COMMIT_WATCH answers (gid, index = the commit-index snapshot) and
-/// COMMIT_EVENT pushes (every field).
+/// COMMIT_WATCH answers.
+struct CommitSnapshotBody {
+  WireGroupId gid = 0;
+  std::uint64_t commit_index = 0;
+};
+
+/// COMMIT_EVENT pushes.
 struct CommitBody {
   WireGroupId gid = 0;
   std::uint64_t index = 0;
-  std::uint64_t value = 0;  ///< COMMIT_EVENT only
-  std::uint64_t trace = 0;  ///< COMMIT_EVENT only (0 = untraced)
+  std::uint64_t value = 0;
+  std::uint64_t trace = 0;  ///< the append's trace id (0 = untraced)
 };
 
 /// Server-side page cap for READ_LOG (the payload cap allows ~500).
@@ -341,7 +348,8 @@ struct Request {
 struct Response {
   FrameHeader header;
   std::variant<std::monostate, GidBody, ViewBody, AppendRespBody,
-               ReadLogRespBody, CommitBody, RegHelloBody, RegAckBody,
+               ReadLogRespBody, CommitSnapshotBody, CommitBody, RegHelloBody,
+               RegAckBody,
                SessionOpenRespBody, MetricsRespBody, TraceDumpRespBody,
                HealthRespBody, MetricsWatchRespBody, MetricsEventBody,
                ReadRespBody>
@@ -352,32 +360,133 @@ struct Response {
 // Encoders append one complete frame (length prefix included) to `out`,
 // so a caller can batch several frames into one write buffer.
 
+namespace detail {
+
+/// Appends `v` little-endian in sizeof(T) bytes (enums by their value).
+template <class T>
+void put_le(std::vector<std::uint8_t>& out, T v) {
+  std::uint64_t u = 0;
+  if constexpr (std::is_enum_v<T>) {
+    u = static_cast<std::uint64_t>(static_cast<std::underlying_type_t<T>>(v));
+  } else {
+    u = static_cast<std::uint64_t>(v);
+  }
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out.push_back(static_cast<std::uint8_t>(u >> (8 * i)));
+  }
+}
+
+template <class T>
+T get_le(const std::uint8_t* p) {
+  std::uint64_t u = 0;
+  for (std::size_t i = sizeof(T); i-- > 0;) u = u << 8 | p[i];
+  return static_cast<T>(u);
+}
+
+/// A fixed-layout body described once, as its list of fields in wire
+/// order: the same list drives encode, decode and the body length.
+template <class B, auto... Fields>
+struct Fixed {
+  static constexpr std::size_t kBytes =
+      (sizeof(std::declval<const B&>().*Fields) + ...);
+
+  static void put(std::vector<std::uint8_t>& out, const B& b) {
+    (put_le(out, b.*Fields), ...);
+  }
+
+  static B get(const std::uint8_t* p) {
+    B b;
+    ((b.*Fields = get_le<std::remove_cvref_t<decltype(b.*Fields)>>(p),
+      p += sizeof(b.*Fields)),
+     ...);
+    return b;
+  }
+};
+
+/// The one wire layout of each fixed body type.
+template <class B>
+struct LayoutOf;
+template <>
+struct LayoutOf<GidBody> : Fixed<GidBody, &GidBody::gid> {};
+template <>
+struct LayoutOf<ViewBody>
+    : Fixed<ViewBody, &ViewBody::gid, &ViewBody::leader, &ViewBody::epoch> {};
+template <>
+struct LayoutOf<AppendReqBody>
+    : Fixed<AppendReqBody, &AppendReqBody::gid, &AppendReqBody::client,
+            &AppendReqBody::seq, &AppendReqBody::command,
+            &AppendReqBody::trace> {};
+template <>
+struct LayoutOf<AppendRespBody>
+    : Fixed<AppendRespBody, &AppendRespBody::gid, &AppendRespBody::index,
+            &AppendRespBody::leader, &AppendRespBody::epoch,
+            &AppendRespBody::trace> {};
+template <>
+struct LayoutOf<ReadLogReqBody>
+    : Fixed<ReadLogReqBody, &ReadLogReqBody::gid, &ReadLogReqBody::from,
+            &ReadLogReqBody::max> {};
+template <>
+struct LayoutOf<CommitSnapshotBody>
+    : Fixed<CommitSnapshotBody, &CommitSnapshotBody::gid,
+            &CommitSnapshotBody::commit_index> {};
+template <>
+struct LayoutOf<CommitBody>
+    : Fixed<CommitBody, &CommitBody::gid, &CommitBody::index,
+            &CommitBody::value, &CommitBody::trace> {};
+template <>
+struct LayoutOf<RegHelloBody> : Fixed<RegHelloBody, &RegHelloBody::node> {};
+template <>
+struct LayoutOf<RegAckBody> : Fixed<RegAckBody, &RegAckBody::seq> {};
+template <>
+struct LayoutOf<SessionOpenReqBody>
+    : Fixed<SessionOpenReqBody, &SessionOpenReqBody::gid,
+            &SessionOpenReqBody::client> {};
+template <>
+struct LayoutOf<SessionOpenRespBody>
+    : Fixed<SessionOpenRespBody, &SessionOpenRespBody::gid,
+            &SessionOpenRespBody::ttl_us> {};
+template <>
+struct LayoutOf<PageReqBody> : Fixed<PageReqBody, &PageReqBody::start> {};
+template <>
+struct LayoutOf<MetricsWatchRespBody>
+    : Fixed<MetricsWatchRespBody, &MetricsWatchRespBody::period_ms> {};
+template <>
+struct LayoutOf<ReadReqBody>
+    : Fixed<ReadReqBody, &ReadReqBody::gid, &ReadReqBody::key,
+            &ReadReqBody::min_index> {};
+template <>
+struct LayoutOf<ReadRespBody>
+    : Fixed<ReadRespBody, &ReadRespBody::gid, &ReadRespBody::key,
+            &ReadRespBody::index, &ReadRespBody::commit_index,
+            &ReadRespBody::leader, &ReadRespBody::epoch> {};
+
+/// Reserves the length prefix and writes the header; returns the prefix
+/// offset for end_frame to patch.
+std::size_t begin_frame(std::vector<std::uint8_t>& out, const FrameHeader& h);
+void end_frame(std::vector<std::uint8_t>& out, std::size_t len_at);
+
+}  // namespace detail
+
+/// Any frame whose body has a fixed layout: the body's type selects its
+/// layout, `type` must be one that carries that body (the peer's decoder
+/// refuses any other pairing). Pushes use req_id 0.
+template <class Body>
+void encode_fixed(std::vector<std::uint8_t>& out, MsgType type, Status status,
+                  std::uint64_t req_id, const Body& body) {
+  const std::size_t at =
+      detail::begin_frame(out, FrameHeader{type, status, req_id});
+  detail::LayoutOf<Body>::put(out, body);
+  detail::end_frame(out, at);
+}
+
 /// A request whose body is a gid (LEADER, WATCH, UNWATCH, COMMIT_WATCH,
 /// COMMIT_UNWATCH) or empty (PING, HEALTH, METRICS_WATCH: no gid).
 void encode_request(std::vector<std::uint8_t>& out, MsgType type,
                     std::uint64_t req_id, std::optional<WireGroupId> gid);
 
-/// LEADER/WATCH answers and EVENT pushes (req_id 0).
-void encode_view_frame(std::vector<std::uint8_t>& out, MsgType type,
-                       Status status, std::uint64_t req_id,
-                       const ViewBody& view);
-
 /// A header-only answer: PING, or kUnsupported for an unknown type.
 void encode_simple_response(std::vector<std::uint8_t>& out, MsgType type,
                             Status status, std::uint64_t req_id);
-
-/// UNWATCH/COMMIT_UNWATCH answers.
-void encode_gid_response(std::vector<std::uint8_t>& out, MsgType type,
-                         Status status, std::uint64_t req_id, WireGroupId gid);
-
-void encode_append_request(std::vector<std::uint8_t>& out,
-                           std::uint64_t req_id, const AppendReqBody& body);
-
-void encode_append_response(std::vector<std::uint8_t>& out, Status status,
-                            std::uint64_t req_id, const AppendRespBody& body);
-
-void encode_readlog_request(std::vector<std::uint8_t>& out,
-                            std::uint64_t req_id, const ReadLogReqBody& body);
 
 /// `entries` holds at most kMaxLogEntries (empty for error answers).
 void encode_readlog_response(std::vector<std::uint8_t>& out, Status status,
@@ -385,39 +494,10 @@ void encode_readlog_response(std::vector<std::uint8_t>& out, Status status,
                              std::uint64_t commit_index,
                              const std::vector<std::uint64_t>& entries);
 
-/// COMMIT_WATCH answer carrying the commit-index snapshot.
-void encode_commit_snapshot(std::vector<std::uint8_t>& out, Status status,
-                            std::uint64_t req_id, WireGroupId gid,
-                            std::uint64_t commit_index);
-
-/// COMMIT_EVENT push (req_id 0).
-void encode_commit_event(std::vector<std::uint8_t>& out, WireGroupId gid,
-                         std::uint64_t index, std::uint64_t value,
-                         std::uint64_t trace = 0);
-
-/// REG_HELLO request (the dialling node's id) or answer (status + the
-/// accepting node's id).
-void encode_reg_hello(std::vector<std::uint8_t>& out, Status status,
-                      std::uint64_t req_id, std::uint32_t node);
-
 /// REG_PUSH one-way frame; `count` must be in [1, kMaxPushCells].
 void encode_reg_push(std::vector<std::uint8_t>& out, WireGroupId gid,
                      std::uint64_t seq, const RegCellUpdate* cells,
                      std::uint32_t count);
-
-void encode_reg_ack(std::vector<std::uint8_t>& out, std::uint64_t seq);
-
-void encode_session_open_request(std::vector<std::uint8_t>& out,
-                                 std::uint64_t req_id,
-                                 const SessionOpenReqBody& body);
-
-void encode_session_open_response(std::vector<std::uint8_t>& out,
-                                  Status status, std::uint64_t req_id,
-                                  const SessionOpenRespBody& body);
-
-/// METRICS or TRACE_DUMP request for the page starting at `start`.
-void encode_page_request(std::vector<std::uint8_t>& out, MsgType type,
-                         std::uint64_t req_id, std::uint32_t start);
 
 /// METRICS answer page; the caller sizes it with metrics_record_wire_size
 /// so the frame stays inside kMaxPayloadBytes.
@@ -437,19 +517,9 @@ void encode_health_response(std::vector<std::uint8_t>& out, Status status,
                             std::uint64_t req_id,
                             const HealthRespBody& body);
 
-void encode_metrics_watch_response(std::vector<std::uint8_t>& out,
-                                   Status status, std::uint64_t req_id,
-                                   std::uint32_t period_ms);
-
 /// METRICS_EVENT push (req_id 0); sized like a METRICS page.
 void encode_metrics_event(std::vector<std::uint8_t>& out,
                           const MetricsEventBody& body);
-
-void encode_read_request(std::vector<std::uint8_t>& out, std::uint64_t req_id,
-                         const ReadReqBody& body);
-
-void encode_read_response(std::vector<std::uint8_t>& out, Status status,
-                          std::uint64_t req_id, const ReadRespBody& body);
 
 // --- decoding --------------------------------------------------------------
 

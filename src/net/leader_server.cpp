@@ -525,12 +525,12 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
       l.counters.queries.fetch_add(1, std::memory_order_relaxed);
       svc::LeaderView view;
       if (!service_.try_leader(gid, view)) {
-        encode_view_frame(c.out, MsgType::kLeader, Status::kUnknownGroup, id,
-                          ViewBody{gid});
+        encode_fixed(c.out, MsgType::kLeader, Status::kUnknownGroup, id,
+                     ViewBody{gid});
         return true;
       }
-      encode_view_frame(c.out, MsgType::kLeader, Status::kOk, id,
-                        ViewBody{gid, view.leader, view.epoch});
+      encode_fixed(c.out, MsgType::kLeader, Status::kOk, id,
+                   ViewBody{gid, view.leader, view.epoch});
       return true;
     }
     case MsgType::kWatch: {
@@ -549,18 +549,18 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
           drop_watch(l, c, gid);
           c.watches.erase(gid);
         }
-        encode_view_frame(c.out, MsgType::kWatch, Status::kUnknownGroup, id,
-                          ViewBody{gid});
+        encode_fixed(c.out, MsgType::kWatch, Status::kUnknownGroup, id,
+                     ViewBody{gid});
         return true;
       }
-      encode_view_frame(c.out, MsgType::kWatch, Status::kOk, id,
-                        ViewBody{gid, view.leader, view.epoch});
+      encode_fixed(c.out, MsgType::kWatch, Status::kOk, id,
+                   ViewBody{gid, view.leader, view.epoch});
       return true;
     }
     case MsgType::kUnwatch: {
       const svc::GroupId gid = std::get<GidBody>(req.body).gid;
       if (c.watches.erase(gid) > 0) drop_watch(l, c, gid);
-      encode_gid_response(c.out, MsgType::kUnwatch, Status::kOk, id, gid);
+      encode_fixed(c.out, MsgType::kUnwatch, Status::kOk, id, GidBody{gid});
       return true;
     }
     case MsgType::kPing:
@@ -571,12 +571,12 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
       AppendRespBody resp;
       resp.gid = a.gid;
       if (smr_ == nullptr) {
-        encode_append_response(c.out, Status::kUnsupported, id, resp);
+        encode_fixed(c.out, MsgType::kAppend, Status::kUnsupported, id, resp);
         return true;
       }
       svc::LeaderView view;
       if (!service_.try_leader(a.gid, view) || !smr_->has_log(a.gid)) {
-        encode_append_response(c.out, Status::kUnknownGroup, id, resp);
+        encode_fixed(c.out, MsgType::kAppend, Status::kUnknownGroup, id, resp);
         return true;
       }
       resp.leader = view.leader;
@@ -585,7 +585,7 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
         // No agreed leader right now: tell the client to back off and
         // retry against the (possibly new) leader instead of parking the
         // command in a queue that may not drain for a while.
-        encode_append_response(c.out, Status::kNotLeader, id, resp);
+        encode_fixed(c.out, MsgType::kAppend, Status::kNotLeader, id, resp);
         return true;
       }
       if (!smr_->hosts_replica(a.gid, view.leader)) {
@@ -593,7 +593,7 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
         // node: redirect with the hint (the pid maps to a node in the
         // client's topology) instead of queueing a command this node's
         // pump would never seal.
-        encode_append_response(c.out, Status::kNotLeader, id, resp);
+        encode_fixed(c.out, MsgType::kAppend, Status::kNotLeader, id, resp);
         return true;
       }
       l.counters.appends.fetch_add(1, std::memory_order_relaxed);
@@ -642,10 +642,10 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
     case MsgType::kCommitWatch: {
       const svc::GroupId gid = std::get<GidBody>(req.body).gid;
       if (smr_ == nullptr || !smr_->has_log(gid)) {
-        encode_commit_snapshot(c.out,
-                               smr_ == nullptr ? Status::kUnsupported
-                                               : Status::kUnknownGroup,
-                               id, gid, 0);
+        encode_fixed(c.out, MsgType::kCommitWatch,
+                     smr_ == nullptr ? Status::kUnsupported
+                                     : Status::kUnknownGroup,
+                     id, CommitSnapshotBody{gid, 0});
         return true;
       }
       // Subscribe before the snapshot, as with WATCH: a commit racing the
@@ -656,15 +656,15 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
         l.commit_watchers[gid].push_back(&c);
         l.counters.watches.fetch_add(1, std::memory_order_relaxed);
       }
-      encode_commit_snapshot(c.out, Status::kOk, id, gid,
-                             smr_->commit_index(gid));
+      encode_fixed(c.out, MsgType::kCommitWatch, Status::kOk, id,
+                   CommitSnapshotBody{gid, smr_->commit_index(gid)});
       return true;
     }
     case MsgType::kCommitUnwatch: {
       const svc::GroupId gid = std::get<GidBody>(req.body).gid;
       if (c.commit_watches.erase(gid) > 0) drop_commit_watch(l, c, gid);
-      encode_gid_response(c.out, MsgType::kCommitUnwatch, Status::kOk, id,
-                          gid);
+      encode_fixed(c.out, MsgType::kCommitUnwatch, Status::kOk, id,
+                   GidBody{gid});
       return true;
     }
     case MsgType::kSessionOpen: {
@@ -680,7 +680,7 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
       } else {
         resp.ttl_us = static_cast<std::uint64_t>(ttl_us);
       }
-      encode_session_open_response(c.out, status, id, resp);
+      encode_fixed(c.out, MsgType::kSessionOpen, status, id, resp);
       return true;
     }
     case MsgType::kMetrics: {
@@ -756,7 +756,8 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
       // Subscribe this connection to the sampler stream (v1.5); pushes
       // start with the next tick. Idempotent per connection.
       if (sampler_ == nullptr) {
-        encode_metrics_watch_response(c.out, Status::kUnsupported, id, 0);
+        encode_fixed(c.out, MsgType::kMetricsWatch, Status::kUnsupported, id,
+                     MetricsWatchRespBody{0});
         return true;
       }
       if (!c.metrics_watch) {
@@ -765,8 +766,8 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
         l.metrics_watchers.push_back(&c);
         l.counters.watches.fetch_add(1, std::memory_order_relaxed);
       }
-      encode_metrics_watch_response(c.out, Status::kOk, id,
-                                    cfg_.sample_period_ms);
+      encode_fixed(c.out, MsgType::kMetricsWatch, Status::kOk, id,
+                   MetricsWatchRespBody{cfg_.sample_period_ms});
       return true;
     }
     case MsgType::kRead:
@@ -790,7 +791,7 @@ void LeaderServer::handle_read(Loop& l, Connection& c, std::uint64_t req_id,
                                const ReadReqBody& req) {
   ReadRespBody resp{req.gid, req.key};
   if (smr_ == nullptr) {
-    encode_read_response(c.out, Status::kUnsupported, req_id, resp);
+    encode_fixed(c.out, MsgType::kRead, Status::kUnsupported, req_id, resp);
     return;
   }
   svc::LeaderView view;
@@ -820,7 +821,7 @@ void LeaderServer::handle_read(Loop& l, Connection& c, std::uint64_t req_id,
             ack.commit_index = a.commit_index;
             s->enqueue_ack(loop_idx, ack);
           })) {
-    encode_read_response(c.out, Status::kUnknownGroup, req_id, resp);
+    encode_fixed(c.out, MsgType::kRead, Status::kUnknownGroup, req_id, resp);
     return;
   }
   l.counters.point_reads.fetch_add(1, std::memory_order_relaxed);
@@ -849,7 +850,7 @@ void LeaderServer::handle_read(Loop& l, Connection& c, std::uint64_t req_id,
     case smr::LogGroup::ReadMode::kOverloaded:
       break;
   }
-  encode_read_response(c.out, status, req_id, resp);
+  encode_fixed(c.out, MsgType::kRead, status, req_id, resp);
 }
 
 void LeaderServer::fan_out(Loop& l, const std::vector<Connection*>& targets,
@@ -882,8 +883,9 @@ void LeaderServer::deliver_commit_batch(
   // flush — a 64-command slot costs a watcher one syscall, not 64.
   fan_out(l, it->second, [&](Connection& c) {
     for (std::size_t i = 0; i < values.size(); ++i) {
-      encode_commit_event(c.out, gid, first_index + i, values[i],
-                          i < traces.size() ? traces[i] : 0);
+      encode_fixed(c.out, MsgType::kCommitEvent, Status::kOk, /*req_id=*/0,
+                   CommitBody{gid, first_index + i, values[i],
+                              i < traces.size() ? traces[i] : 0});
     }
     l.counters.commit_events.fetch_add(values.size(),
                                        std::memory_order_relaxed);
@@ -935,17 +937,15 @@ void LeaderServer::drain_acks(std::uint32_t loop_idx) {
     if (ack.kind == PendingAck::Kind::kRead) {
       // A deferred fence read resolved; its status was decided at fire
       // time.
-      encode_read_response(c.out, ack.read_status, ack.req_id,
-                           ReadRespBody{ack.gid, ack.key, ack.index,
-                                        ack.commit_index, view.leader,
-                                        view.epoch});
+      encode_fixed(c.out, MsgType::kRead, ack.read_status, ack.req_id,
+                   ReadRespBody{ack.gid, ack.key, ack.index, ack.commit_index,
+                                view.leader, view.epoch});
       continue;
     }
     const Status status = append_status(ack.outcome);
-    encode_append_response(
-        c.out, status, ack.req_id,
-        AppendRespBody{ack.gid, status == Status::kOk ? ack.index : 0,
-                       view.leader, view.epoch, ack.trace});
+    encode_fixed(c.out, MsgType::kAppend, status, ack.req_id,
+                 AppendRespBody{ack.gid, status == Status::kOk ? ack.index : 0,
+                                view.leader, view.epoch, ack.trace});
   }
   obs::trace(obs::TraceEvent::kAckFlush, l.ack_scratch.size(),
              touched.size());
@@ -985,8 +985,8 @@ void LeaderServer::deliver_event(std::uint32_t loop_idx, svc::GroupId gid,
   const auto it = l.watchers.find(gid);
   if (it == l.watchers.end()) return;  // last watcher left
   fan_out(l, it->second, [&](Connection& c) {
-    encode_view_frame(c.out, MsgType::kEvent, Status::kOk, /*req_id=*/0,
-                      ViewBody{gid, view.leader, view.epoch});
+    encode_fixed(c.out, MsgType::kEvent, Status::kOk, /*req_id=*/0,
+                 ViewBody{gid, view.leader, view.epoch});
     l.counters.events.fetch_add(1, std::memory_order_relaxed);
   });
 }

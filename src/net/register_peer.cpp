@@ -355,7 +355,8 @@ void MirrorTransport::on_peer_io(RegisterPeer& p, std::uint32_t events) {
       disconnect_peer(p);
       return;
     }
-    encode_reg_hello(p.out, Status::kOk, /*req_id=*/1, cfg_.node);
+    encode_fixed(p.out, MsgType::kRegHello, Status::kOk, /*req_id=*/1,
+                 RegHelloBody{cfg_.node});
     p.hello_sent = true;
     p.ever_connected = true;
     // Seed the stream with a snapshot, then let live writes flow. The
@@ -592,7 +593,8 @@ void MirrorTransport::handle_inbound_frame(Inbound& c, const Request& f) {
   switch (f.header.type) {
     case MsgType::kRegHello: {
       c.node = std::get<RegHelloBody>(f.body).node;
-      encode_reg_hello(c.out, Status::kOk, f.header.req_id, cfg_.node);
+      encode_fixed(c.out, MsgType::kRegHello, Status::kOk, f.header.req_id,
+                   RegHelloBody{cfg_.node});
       break;
     }
     case MsgType::kRegPush: {
@@ -636,7 +638,8 @@ void MirrorTransport::handle_inbound_frame(Inbound& c, const Request& f) {
         }
         break;
       }
-      encode_reg_ack(c.out, push.seq);
+      encode_fixed(c.out, MsgType::kRegAck, Status::kOk, /*req_id=*/0,
+                   RegAckBody{push.seq});
       break;
     }
     default:
@@ -668,7 +671,8 @@ bool MirrorTransport::drain_deferred_acks(Inbound& c) {
   }
   if (ack == 0) return true;
   // One cumulative ack for the whole released run.
-  encode_reg_ack(c.out, ack);
+  encode_fixed(c.out, MsgType::kRegAck, Status::kOk, /*req_id=*/0,
+               RegAckBody{ack});
   return flush_out(c.fd, c.out, c.out_pos, c.want_write);
 }
 

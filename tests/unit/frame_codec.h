@@ -135,14 +135,18 @@ inline std::vector<Shape> all_shapes() {
   empty_request("METRICS_WATCH req", MsgType::kMetricsWatch);
   v.push_back({"APPEND req", true, true, alt_of<AppendReqBody, Q>(),
                [](Bytes& b, Status) {
-                 encode_append_request(b, 7, AppendReqBody{1, 2, 3, 4, 5});
+                 encode_fixed(b, MsgType::kAppend, Status::kOk, 7,
+                              AppendReqBody{1, 2, 3, 4, 5});
                }});
   v.push_back({"READ_LOG req", true, true, alt_of<ReadLogReqBody, Q>(),
                [](Bytes& b, Status) {
-                 encode_readlog_request(b, 7, ReadLogReqBody{1, 100, 16});
+                 encode_fixed(b, MsgType::kReadLog, Status::kOk, 7,
+                              ReadLogReqBody{1, 100, 16});
                }});
   v.push_back({"REG_HELLO req", true, true, alt_of<RegHelloBody, Q>(),
-               [](Bytes& b, Status s) { encode_reg_hello(b, s, 7, 2); }});
+               [](Bytes& b, Status s) {
+                 encode_fixed(b, MsgType::kRegHello, s, 7, RegHelloBody{2});
+               }});
   v.push_back({"REG_PUSH", true, true, alt_of<RegPushBody, Q>(),
                [](Bytes& b, Status) {
                  const RegCellUpdate cells[2] = {{10, 100}, {11, 1ull << 40}};
@@ -150,38 +154,42 @@ inline std::vector<Shape> all_shapes() {
                }});
   v.push_back({"SESSION_OPEN req", true, true,
                alt_of<SessionOpenReqBody, Q>(), [](Bytes& b, Status) {
-                 encode_session_open_request(b, 7, SessionOpenReqBody{5, 9});
+                 encode_fixed(b, MsgType::kSessionOpen, Status::kOk, 7,
+                              SessionOpenReqBody{5, 9});
                }});
   v.push_back({"METRICS req", true, true, alt_of<PageReqBody, Q>(),
                [](Bytes& b, Status) {
-                 encode_page_request(b, MsgType::kMetrics, 7, 123);
+                 encode_fixed(b, MsgType::kMetrics, Status::kOk, 7,
+                              PageReqBody{123});
                }});
   v.push_back({"TRACE_DUMP req", true, true, alt_of<PageReqBody, Q>(),
                [](Bytes& b, Status) {
-                 encode_page_request(b, MsgType::kTraceDump, 7, 4096);
+                 encode_fixed(b, MsgType::kTraceDump, Status::kOk, 7,
+                              PageReqBody{4096});
                }});
   v.push_back({"READ req", true, true, alt_of<ReadReqBody, Q>(),
                [](Bytes& b, Status) {
-                 encode_read_request(b, 7, ReadReqBody{9, 0xBEEF, 123});
+                 encode_fixed(b, MsgType::kRead, Status::kOk, 7,
+                              ReadReqBody{9, 0xBEEF, 123});
                }});
 
   const auto view_response = [&v](const char* name, MsgType t) {
     v.push_back({name, false, false, alt_of<ViewBody, R>(),
                  [t](Bytes& b, Status s) {
-                   encode_view_frame(b, t, s, 7, ViewBody{42, 2, 17});
+                   encode_fixed(b, t, s, 7, ViewBody{42, 2, 17});
                  }});
   };
   view_response("LEADER resp", MsgType::kLeader);
   view_response("WATCH resp", MsgType::kWatch);
   v.push_back({"EVENT", false, true, alt_of<ViewBody, R>(),
                [](Bytes& b, Status) {
-                 encode_view_frame(b, MsgType::kEvent, Status::kOk, 0,
-                                   ViewBody{3, kNoProcess, 9});
+                 encode_fixed(b, MsgType::kEvent, Status::kOk, 0,
+                              ViewBody{3, kNoProcess, 9});
                }});
   const auto gid_response = [&v](const char* name, MsgType t) {
     v.push_back({name, false, false, alt_of<GidBody, R>(),
                  [t](Bytes& b, Status s) {
-                   encode_gid_response(b, t, s, 7, 42);
+                   encode_fixed(b, t, s, 7, GidBody{42});
                  }});
   };
   gid_response("UNWATCH resp", MsgType::kUnwatch);
@@ -192,29 +200,37 @@ inline std::vector<Shape> all_shapes() {
                }});
   v.push_back({"APPEND resp", false, false, alt_of<AppendRespBody, R>(),
                [](Bytes& b, Status s) {
-                 encode_append_response(b, s, 7,
-                                        AppendRespBody{1, 99, 2, 3, 0xF00D});
+                 encode_fixed(b, MsgType::kAppend, s, 7,
+                              AppendRespBody{1, 99, 2, 3, 0xF00D});
                }});
   v.push_back({"READ_LOG resp", false, false, alt_of<ReadLogRespBody, R>(),
                [](Bytes& b, Status s) {
                  encode_readlog_response(b, s, 7, 2, 103, {11, 22, 33});
                }});
-  v.push_back({"COMMIT_WATCH resp", false, false, alt_of<CommitBody, R>(),
+  v.push_back({"COMMIT_WATCH resp", false, false,
+               alt_of<CommitSnapshotBody, R>(),
                [](Bytes& b, Status s) {
-                 encode_commit_snapshot(b, s, 7, 5, 40);
+                 encode_fixed(b, MsgType::kCommitWatch, s, 7,
+                              CommitSnapshotBody{5, 40});
                }});
   v.push_back({"COMMIT_EVENT", false, true, alt_of<CommitBody, R>(),
                [](Bytes& b, Status) {
-                 encode_commit_event(b, 5, 41, 777, 0xFEED);
+                 encode_fixed(b, MsgType::kCommitEvent, Status::kOk,
+                              /*req_id=*/0, CommitBody{5, 41, 777, 0xFEED});
                }});
   v.push_back({"REG_HELLO resp", false, false, alt_of<RegHelloBody, R>(),
-               [](Bytes& b, Status s) { encode_reg_hello(b, s, 7, 1); }});
+               [](Bytes& b, Status s) {
+                 encode_fixed(b, MsgType::kRegHello, s, 7, RegHelloBody{1});
+               }});
   v.push_back({"REG_ACK", false, true, alt_of<RegAckBody, R>(),
-               [](Bytes& b, Status) { encode_reg_ack(b, 7); }});
+               [](Bytes& b, Status) {
+                 encode_fixed(b, MsgType::kRegAck, Status::kOk, 0,
+                              RegAckBody{7});
+               }});
   v.push_back({"SESSION_OPEN resp", false, false,
                alt_of<SessionOpenRespBody, R>(), [](Bytes& b, Status s) {
-                 encode_session_open_response(b, s, 7,
-                                              SessionOpenRespBody{5, 1000});
+                 encode_fixed(b, MsgType::kSessionOpen, s, 7,
+                              SessionOpenRespBody{5, 1000});
                }});
   v.push_back({"METRICS resp", false, false, alt_of<MetricsRespBody, R>(),
                [](Bytes& b, Status s) {
@@ -246,7 +262,8 @@ inline std::vector<Shape> all_shapes() {
                }});
   v.push_back({"METRICS_WATCH resp", false, false,
                alt_of<MetricsWatchRespBody, R>(), [](Bytes& b, Status s) {
-                 encode_metrics_watch_response(b, s, 7, 250);
+                 encode_fixed(b, MsgType::kMetricsWatch, s, 7,
+                              MetricsWatchRespBody{250});
                }});
   v.push_back({"METRICS_EVENT", false, true, alt_of<MetricsEventBody, R>(),
                [](Bytes& b, Status) {
@@ -260,8 +277,8 @@ inline std::vector<Shape> all_shapes() {
                }});
   v.push_back({"READ resp", false, false, alt_of<ReadRespBody, R>(),
                [](Bytes& b, Status s) {
-                 encode_read_response(b, s, 7,
-                                      ReadRespBody{4, 0x1234, 57, 900, 2, 11});
+                 encode_fixed(b, MsgType::kRead, s, 7,
+                              ReadRespBody{4, 0x1234, 57, 900, 2, 11});
                }});
   return v;
 }

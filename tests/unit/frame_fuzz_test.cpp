@@ -50,7 +50,8 @@ struct FitsBody {
   }
 };
 
-std::uint64_t g_decoded = 0;  // kOk results, so the loop provably reaches bodies
+/// kOk results, so each loop provably reaches the body decoders.
+std::uint64_t g_decoded = 0;
 
 void check_both_roles(const std::uint8_t* data, std::size_t len) {
   const std::size_t body = len > kHeaderBytes ? len - kHeaderBytes : 0;

@@ -18,7 +18,9 @@ using test::responses;
 /// or shrank.
 void restamp(Bytes& frame) {
   const std::uint32_t n = static_cast<std::uint32_t>(frame.size() - 4);
-  for (int i = 0; i < 4; ++i) frame[i] = static_cast<std::uint8_t>(n >> (8 * i));
+  for (int i = 0; i < 4; ++i) {
+    frame[i] = static_cast<std::uint8_t>(n >> (8 * i));
+  }
 }
 
 DecodeResult decode_as(bool request, const Bytes& frame, std::size_t& alt) {
@@ -70,17 +72,18 @@ TEST(Frame, MisroutedRolesAreRefused) {
   // A request read by a client (or an answer read by a server) is a
   // broken peer, not a frame to guess at.
   Bytes append;
-  encode_append_request(append, 1, AppendReqBody{1, 2, 3, 4, 5});
+  encode_fixed(append, MsgType::kAppend, Status::kOk, 1,
+               AppendReqBody{1, 2, 3, 4, 5});
   Response resp;
   EXPECT_EQ(test::decode_as_response(append, resp), DecodeResult::kBadBody);
 
   Bytes read;
-  encode_read_response(read, Status::kLeaseRead, 1, ReadRespBody{});
+  encode_fixed(read, MsgType::kRead, Status::kLeaseRead, 1, ReadRespBody{});
   Request req;
   EXPECT_EQ(test::decode_as_request(read, req), DecodeResult::kBadBody);
 
   Bytes event;
-  encode_view_frame(event, MsgType::kEvent, Status::kOk, 0, ViewBody{});
+  encode_fixed(event, MsgType::kEvent, Status::kOk, 0, ViewBody{});
   EXPECT_EQ(test::decode_as_request(event, req), DecodeResult::kBadBody)
       << "pushes have no request role";
   Bytes push;
@@ -112,8 +115,8 @@ TEST(Frame, LeaderRequestRoundTrip) {
 
 TEST(Frame, ViewResponseRoundTrip) {
   Bytes buf;
-  encode_view_frame(buf, MsgType::kLeader, Status::kOk, 9,
-                    ViewBody{0xdeadbeefull, ProcessId{2}, 0x1234567890ull});
+  encode_fixed(buf, MsgType::kLeader, Status::kOk, 9,
+               ViewBody{0xdeadbeefull, ProcessId{2}, 0x1234567890ull});
   const auto frames = responses(buf);
   ASSERT_EQ(frames.size(), 1u);
   const ViewBody& v = std::get<ViewBody>(frames[0].body);
@@ -124,8 +127,8 @@ TEST(Frame, ViewResponseRoundTrip) {
 
 TEST(Frame, NoLeaderSentinelSurvivesTheWire) {
   Bytes buf;
-  encode_view_frame(buf, MsgType::kEvent, Status::kOk, 0,
-                    ViewBody{3, kNoProcess, 17});
+  encode_fixed(buf, MsgType::kEvent, Status::kOk, 0,
+               ViewBody{3, kNoProcess, 17});
   const auto frames = responses(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(std::get<ViewBody>(frames[0].body).leader, kNoProcess);
@@ -202,7 +205,7 @@ TEST(Frame, RejectsTruncatedHeaderAndBody) {
 TEST(Frame, EventWithoutViewIsMalformed) {
   // EVENT frames must carry the full view; a gid-only event is a bug.
   Bytes buf;
-  encode_gid_response(buf, MsgType::kEvent, Status::kOk, 0, 5);
+  encode_fixed(buf, MsgType::kEvent, Status::kOk, 0, GidBody{5});
   Response r;
   EXPECT_EQ(test::decode_as_response(buf, r), DecodeResult::kBadBody);
 }
@@ -249,7 +252,7 @@ TEST(Frame, AppendRequestAndResponseRoundTrip) {
   req.client = 0xAABBCCDDEE;
   req.seq = 77;
   req.command = 65000;
-  encode_append_request(req_buf, 5, req);
+  encode_fixed(req_buf, MsgType::kAppend, Status::kOk, 5, req);
   const auto reqs = requests(req_buf, 3);  // odd chunking on purpose
   ASSERT_EQ(reqs.size(), 1u);
   const AppendReqBody& a = std::get<AppendReqBody>(reqs[0].body);
@@ -264,7 +267,7 @@ TEST(Frame, AppendRequestAndResponseRoundTrip) {
   resp.index = 123456789;
   resp.leader = 2;
   resp.epoch = 42;
-  encode_append_response(resp_buf, Status::kOk, 5, resp);
+  encode_fixed(resp_buf, MsgType::kAppend, Status::kOk, 5, resp);
   const auto resps = responses(resp_buf, 3);
   ASSERT_EQ(resps.size(), 1u);
   const AppendRespBody& b = std::get<AppendRespBody>(resps[0].body);
@@ -280,7 +283,7 @@ TEST(Frame, NotLeaderResponseCarriesTheRedirectHint) {
   resp.gid = 4;
   resp.leader = kNoProcess;
   resp.epoch = 17;
-  encode_append_response(buf, Status::kNotLeader, 8, resp);
+  encode_fixed(buf, MsgType::kAppend, Status::kNotLeader, 8, resp);
   const auto frames = responses(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.status, Status::kNotLeader);
@@ -294,7 +297,7 @@ TEST(Frame, ReadLogRoundTrip) {
   req.gid = 2;
   req.from = 100;
   req.max = 3;
-  encode_readlog_request(req_buf, 6, req);
+  encode_fixed(req_buf, MsgType::kReadLog, Status::kOk, 6, req);
   const auto reqs = requests(req_buf, 7);
   ASSERT_EQ(reqs.size(), 1u);
   EXPECT_EQ(std::get<ReadLogReqBody>(reqs[0].body).from, 100u);
@@ -328,11 +331,13 @@ TEST(Frame, CommitWatchAndEventRoundTrip) {
   ASSERT_EQ(std::get<GidBody>(requests(req_buf)[0].body).gid, 5u);
 
   Bytes buf;
-  encode_commit_snapshot(buf, Status::kOk, 3, 5, /*commit_index=*/40);
-  encode_commit_event(buf, 5, /*index=*/41, /*value=*/777);
+  encode_fixed(buf, MsgType::kCommitWatch, Status::kOk, 3,
+               CommitSnapshotBody{5, /*commit_index=*/40});
+  encode_fixed(buf, MsgType::kCommitEvent, Status::kOk, /*req_id=*/0,
+               CommitBody{5, /*index=*/41, /*value=*/777});
   const auto frames = responses(buf, 1);  // byte-at-a-time
   ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(std::get<CommitBody>(frames[0].body).index, 40u);
+  EXPECT_EQ(std::get<CommitSnapshotBody>(frames[0].body).commit_index, 40u);
   EXPECT_EQ(frames[1].header.type, MsgType::kCommitEvent);
   EXPECT_EQ(frames[1].header.req_id, 0u);
   EXPECT_EQ(std::get<CommitBody>(frames[1].body).index, 41u);
@@ -342,7 +347,7 @@ TEST(Frame, CommitWatchAndEventRoundTrip) {
 TEST(Frame, CommitEventWithoutFullBodyIsMalformed) {
   // Like EVENT: pushes must carry their complete body.
   Bytes buf;
-  encode_gid_response(buf, MsgType::kCommitEvent, Status::kOk, 0, 5);
+  encode_fixed(buf, MsgType::kCommitEvent, Status::kOk, 0, GidBody{5});
   Response r;
   EXPECT_EQ(test::decode_as_response(buf, r), DecodeResult::kBadBody);
 }
@@ -350,7 +355,8 @@ TEST(Frame, CommitEventWithoutFullBodyIsMalformed) {
 TEST(Frame, RegMirrorFramesRoundTrip) {
   // Mirror stream: HELLO and PUSH from the dialler, ACK from the acceptor.
   Bytes out;
-  encode_reg_hello(out, Status::kOk, /*req_id=*/1, /*node=*/2);
+  encode_fixed(out, MsgType::kRegHello, Status::kOk, /*req_id=*/1,
+               RegHelloBody{/*node=*/2});
   const RegCellUpdate cells[3] = {{10, 100}, {11, 0}, {65535, 1ull << 40}};
   encode_reg_push(out, /*gid=*/42, /*seq=*/7, cells, 3);
   const auto sent = requests(out);
@@ -367,8 +373,10 @@ TEST(Frame, RegMirrorFramesRoundTrip) {
   }
 
   Bytes back;
-  encode_reg_hello(back, Status::kOk, 1, /*node=*/0);
-  encode_reg_ack(back, /*seq=*/7);
+  encode_fixed(back, MsgType::kRegHello, Status::kOk, 1,
+               RegHelloBody{/*node=*/0});
+  encode_fixed(back, MsgType::kRegAck, Status::kOk, /*req_id=*/0,
+               RegAckBody{/*seq=*/7});
   const auto got = responses(back);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(std::get<RegHelloBody>(got[0].body).node, 0u);
@@ -393,18 +401,18 @@ TEST(Frame, RegPushRejectsOverAndUnderCountedBodies) {
 
 TEST(Frame, SessionOpenRoundTripsBothRoles) {
   Bytes req_buf;
-  encode_session_open_request(req_buf, /*req_id=*/9,
-                              SessionOpenReqBody{5, 1234567});
+  encode_fixed(req_buf, MsgType::kSessionOpen, Status::kOk, /*req_id=*/9,
+               SessionOpenReqBody{5, 1234567});
   const auto reqs = requests(req_buf);
   ASSERT_EQ(reqs.size(), 1u);
   EXPECT_EQ(std::get<SessionOpenReqBody>(reqs[0].body).gid, 5u);
   EXPECT_EQ(std::get<SessionOpenReqBody>(reqs[0].body).client, 1234567u);
 
   Bytes resp_buf;
-  encode_session_open_response(resp_buf, Status::kOk, 9,
-                               SessionOpenRespBody{5, 30000000});
-  encode_session_open_response(resp_buf, Status::kSessionEvicted, 10,
-                               SessionOpenRespBody{5, 0});
+  encode_fixed(resp_buf, MsgType::kSessionOpen, Status::kOk, 9,
+               SessionOpenRespBody{5, 30000000});
+  encode_fixed(resp_buf, MsgType::kSessionOpen, Status::kSessionEvicted, 10,
+               SessionOpenRespBody{5, 0});
   const auto resps = responses(resp_buf);
   ASSERT_EQ(resps.size(), 2u);
   EXPECT_EQ(std::get<SessionOpenRespBody>(resps[0].body).ttl_us, 30000000u);

@@ -49,7 +49,8 @@ TEST(HealthFrame, ResponseRoundTripWithFiringRules) {
   ASSERT_EQ(std::get<HealthRespBody>(f.body).firing.size(), 2u);
   EXPECT_EQ(std::get<HealthRespBody>(f.body).firing[0].status, 1);
   EXPECT_EQ(std::get<HealthRespBody>(f.body).firing[0].name, "mirror-push-lag");
-  EXPECT_EQ(std::get<HealthRespBody>(f.body).firing[0].reason, "p99 612ms over 5s");
+  EXPECT_EQ(std::get<HealthRespBody>(f.body).firing[0].reason,
+            "p99 612ms over 5s");
   EXPECT_EQ(std::get<HealthRespBody>(f.body).firing[1].status, 2);
   EXPECT_EQ(std::get<HealthRespBody>(f.body).firing[1].name, "watchdog");
 }
@@ -101,8 +102,8 @@ TEST(MetricsWatchFrame, RequestAndResponseRoundTrip) {
   EXPECT_TRUE(std::holds_alternative<std::monostate>(reqf[0].body));
 
   std::vector<std::uint8_t> resp;
-  encode_metrics_watch_response(resp, Status::kOk, /*req_id=*/5,
-                                /*period_ms=*/250);
+  encode_fixed(resp, MsgType::kMetricsWatch, Status::kOk, /*req_id=*/5,
+               MetricsWatchRespBody{/*period_ms=*/250});
   const auto respf = decode_all(resp);
   ASSERT_EQ(respf.size(), 1u);
   EXPECT_EQ(respf[0].header.req_id, 5u);

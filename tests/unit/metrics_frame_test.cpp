@@ -29,7 +29,8 @@ obs::MetricSample counter_sample(std::string name, std::int64_t value) {
 
 TEST(MetricsFrame, RequestRoundTrip) {
   std::vector<std::uint8_t> buf;
-  encode_page_request(buf, MsgType::kMetrics, /*req_id=*/7, 123);
+  encode_fixed(buf, MsgType::kMetrics, Status::kOk, /*req_id=*/7,
+               PageReqBody{123});
   const auto frames = test::requests(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kMetrics);
@@ -82,7 +83,8 @@ TEST(MetricsFrame, EmptyPageRoundTrip) {
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(std::get<MetricsRespBody>(frames[0].body).total, 0u);
   EXPECT_TRUE(std::get<MetricsRespBody>(frames[0].body).metrics.empty());
-  EXPECT_EQ(std::get<MetricsRespBody>(frames[0].body).node, kNoNodeId);  // default trailer
+  EXPECT_EQ(std::get<MetricsRespBody>(frames[0].body).node,
+            kNoNodeId);  // default trailer
 }
 
 TEST(MetricsFrame, RecordWireSizeMatchesEncoding) {

@@ -28,9 +28,8 @@ Response read_response(const std::vector<std::uint8_t>& buf) {
 
 TEST(ReadFrame, RequestRoundTrip) {
   std::vector<std::uint8_t> buf;
-  encode_read_request(buf, /*req_id=*/77,
-                      ReadReqBody{/*gid=*/9, /*key=*/0xBEEF,
-                                  /*min_index=*/123});
+  encode_fixed(buf, MsgType::kRead, Status::kOk, /*req_id=*/77,
+               ReadReqBody{/*gid=*/9, /*key=*/0xBEEF, /*min_index=*/123});
   EXPECT_EQ(buf.size(), 4 + kHeaderBytes + 24);
   const ReadReqBody req = read_request(buf);
   EXPECT_EQ(req.gid, 9u);
@@ -53,7 +52,7 @@ TEST(ReadFrame, ResponseRoundTripsEveryStatus) {
     body.commit_index = 900;
     body.leader = ProcessId{2};
     body.epoch = 11;
-    encode_read_response(buf, s, /*req_id=*/5, body);
+    encode_fixed(buf, MsgType::kRead, s, /*req_id=*/5, body);
     EXPECT_EQ(buf.size(), 4 + kHeaderBytes + 44);
     const Response f = read_response(buf);
     EXPECT_EQ(f.header.status, s);
@@ -74,7 +73,7 @@ TEST(ReadFrame, NeverAppliedKeyRidesAsIndexZero) {
   body.key = 42;
   body.index = 0;  // the "never applied" sentinel (positions are +1)
   body.commit_index = 10;
-  encode_read_response(buf, Status::kLeaseRead, 1, body);
+  encode_fixed(buf, MsgType::kRead, Status::kLeaseRead, 1, body);
   EXPECT_EQ(std::get<ReadRespBody>(read_response(buf).body).index, 0u);
 }
 
@@ -90,7 +89,7 @@ TEST(ReadFrame, TruncationBoundaries) {
   body.commit_index = 9;
   body.leader = ProcessId{1};
   body.epoch = 2;
-  encode_read_response(full, Status::kLeaseRead, 8, body);
+  encode_fixed(full, MsgType::kRead, Status::kLeaseRead, 8, body);
   const std::uint8_t* payload = full.data() + 4;  // skip the length prefix
   for (std::size_t body_len = 0; body_len <= 44; ++body_len) {
     Response resp;

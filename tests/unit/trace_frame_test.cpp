@@ -32,7 +32,8 @@ obs::TraceRecord record(std::uint64_t ts, obs::TraceEvent ev,
 
 TEST(TraceFrame, RequestRoundTrip) {
   std::vector<std::uint8_t> buf;
-  encode_page_request(buf, MsgType::kTraceDump, /*req_id=*/21, 4096);
+  encode_fixed(buf, MsgType::kTraceDump, Status::kOk, /*req_id=*/21,
+               PageReqBody{4096});
   const auto frames = test::requests(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kTraceDump);
@@ -62,12 +63,14 @@ TEST(TraceFrame, ResponseRoundTrip) {
   ASSERT_EQ(std::get<TraceDumpRespBody>(f.body).records.size(), 2u);
   EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].ts_ns, 1000u);
   EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].thread, 3u);
-  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].ev, obs::TraceEvent::kAppendEnqueue);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].ev,
+            obs::TraceEvent::kAppendEnqueue);
   EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].a, 41u);
   EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].b, 42u);
   EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].trace_lo, 0xAAAAu);
   EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[0].trace_hi, 0u);
-  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[1].ev, obs::TraceEvent::kBatchSeal);
+  EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[1].ev,
+            obs::TraceEvent::kBatchSeal);
   EXPECT_EQ(std::get<TraceDumpRespBody>(f.body).records[1].trace_hi, 0xBBBBu);
 }
 
@@ -167,7 +170,7 @@ TEST(TraceFrame, AppendRequestCarriesTraceId) {
   req.command = 17;
   req.trace = 0xDEADBEEFCAFEF00DULL;
   std::vector<std::uint8_t> buf;
-  encode_append_request(buf, /*req_id=*/2, req);
+  encode_fixed(buf, MsgType::kAppend, Status::kOk, /*req_id=*/2, req);
   const auto frames = test::requests(buf);
   ASSERT_EQ(frames.size(), 1u);
   const AppendReqBody& got = std::get<AppendReqBody>(frames[0].body);
@@ -183,7 +186,7 @@ TEST(TraceFrame, AppendResponseEchoesTraceId) {
   resp.epoch = 3;
   resp.trace = 0x12345678u;
   std::vector<std::uint8_t> buf;
-  encode_append_response(buf, Status::kOk, /*req_id=*/2, resp);
+  encode_fixed(buf, MsgType::kAppend, Status::kOk, /*req_id=*/2, resp);
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
   const AppendRespBody& got = std::get<AppendRespBody>(frames[0].body);
@@ -193,8 +196,9 @@ TEST(TraceFrame, AppendResponseEchoesTraceId) {
 
 TEST(TraceFrame, CommitEventCarriesTraceId) {
   std::vector<std::uint8_t> buf;
-  encode_commit_event(buf, /*gid=*/5, /*index=*/42, /*value=*/777,
-                      /*trace=*/0xFEEDu);
+  encode_fixed(buf, MsgType::kCommitEvent, Status::kOk, /*req_id=*/0,
+               CommitBody{/*gid=*/5, /*index=*/42, /*value=*/777,
+                          /*trace=*/0xFEEDu});
   const auto frames = decode_all(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kCommitEvent);
