@@ -409,8 +409,7 @@ void MirrorTransport::on_peer_io(RegisterPeer& p, std::uint32_t events) {
   }
 }
 
-void MirrorTransport::handle_peer_frame(RegisterPeer& p,
-                                        const Response& f) {
+void MirrorTransport::handle_peer_frame(RegisterPeer& p, const Response& f) {
   switch (f.header.type) {
     case MsgType::kRegAck: {
       const std::uint64_t seq = std::get<RegAckBody>(f.body).seq;

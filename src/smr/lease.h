@@ -62,18 +62,20 @@ class LeaseState {
   /// "valid" in the past — so it is refused outright and the lease stays
   /// invalid at every clock value, not just values past t_send.
   ///
-  /// A heartbeat sent at or after the end of the lease comes from a holder
-  /// that lapsed — paused or cut off, and perhaps still acting on the view
-  /// it held before. Peers ack pushes, not leadership, so the confirmation
-  /// proves nothing about who leads now: the lapsed holder re-acquires like
-  /// a new one and stays invalid until ttl + skew after that send.
+  /// A heartbeat sent at or after the end of every lease this node held,
+  /// at any epoch, comes from a holder that lapsed — paused or cut off,
+  /// and perhaps acting on a view that is no longer true. Peers ack
+  /// pushes, not leadership, so the confirmation proves nothing about who
+  /// leads now: the lapsed holder stays invalid until ttl + skew after
+  /// that send, the wait a new holder's acquire floor imposes.
   void on_heartbeat_confirmed(std::int64_t t_send_us) {
     if (skew_us_ >= ttl_us_) return;
-    if (lease_until_us_ != 0 && t_send_us >= lease_until_us_) {
+    if (held_until_us_ != 0 && t_send_us >= held_until_us_) {
       not_before_us_ =
           std::max(not_before_us_, t_send_us + ttl_us_ + skew_us_);
     }
     lease_until_us_ = std::max(lease_until_us_, t_send_us + ttl_us_ - skew_us_);
+    held_until_us_ = std::max(held_until_us_, lease_until_us_);
   }
 
   /// A foreign holder's heartbeat was observed to change at `now_us`:
@@ -101,6 +103,8 @@ class LeaseState {
   std::int64_t skew_us_;
   std::uint64_t epoch_ = 0;
   std::int64_t lease_until_us_ = 0;  ///< 0 = no confirmed heartbeat yet
+  /// End of the latest lease at any epoch (epoch drops leave it alone).
+  std::int64_t held_until_us_ = 0;
   std::int64_t not_before_us_ = 0;   ///< foreign-holder acquire floor
 };
 

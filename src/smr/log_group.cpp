@@ -467,9 +467,12 @@ void LogGroup::lease_tick(svc::Group& g, const svc::LeaderView& view,
       mem.poke(lease_hb_cell_, (std::uint64_t{sealer_} + 1) << 48 |
                                    (lease_hb_seq_ & 0xFFFFFFFFFFFFull));
       // The fence followers read-index against: the leader's applied
-      // length, republished with every heartbeat.
+      // length, republished with every heartbeat and stamped with the
+      // leader it comes from (read_point checks the stamp).
       mem.poke(lease_fence_cell_,
-               commit_index_.load(std::memory_order_acquire));
+               (std::uint64_t{view.leader} + 1) << 48 |
+                   (commit_index_.load(std::memory_order_acquire) &
+                    kFenceIndexMask));
       lease_outstanding_.emplace_back(
           spec_.mirror_write_seq ? spec_.mirror_write_seq() : 0, now_us);
     }
@@ -562,7 +565,16 @@ LogGroup::ReadMode LogGroup::read_point(std::uint64_t key,
   // session index for read-your-writes across a routing switch.
   std::uint64_t fence = min_index;
   if (lease_cells_ok_ && host_.g_ != nullptr) {
-    fence = std::max(fence, host_.g_->inst.memory->peek(lease_fence_cell_));
+    // The fence cell is shared by every node that ever led, and a deposed
+    // leader keeps its own last fence until the new leader's push lands
+    // over it: only the fence of the leader this node follows bounds a
+    // read (0 = no leader has published one yet).
+    const std::uint64_t cell = host_.g_->inst.memory->peek(lease_fence_cell_);
+    if (cell != 0 && cell >> 48 != std::uint64_t{view.leader} + 1) {
+      reads_refused_ctr_->add(1);
+      return ReadMode::kRefused;
+    }
+    fence = std::max(fence, cell & kFenceIndexMask);
   }
   const std::uint64_t applied = commit_index();
   if (applied >= fence) {

@@ -434,6 +434,8 @@ class LogGroup final : public svc::GroupPump {
   static constexpr std::uint32_t kLeaseCells = 2;
   static constexpr std::uint32_t kLeaseCellHb = 0;
   static constexpr std::uint32_t kLeaseCellFence = 1;
+  /// The fence cell holds (leader + 1) << 48 | applied length.
+  static constexpr std::uint64_t kFenceIndexMask = (1ull << 48) - 1;
   /// Applied-key index width: one slot per possible command value
   /// (commands live in [1, kLogNoOp)).
   static constexpr std::uint64_t kKeySpace = 65536;

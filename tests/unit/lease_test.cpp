@@ -118,6 +118,21 @@ TEST(LeaseStateTest, LapsedHolderReacquiresLikeANewHolder) {
   EXPECT_TRUE(l.valid(until + 10));
 }
 
+TEST(LeaseStateTest, LapseSurvivesAnEpochChange) {
+  // The frozen holder may also see its own view move (a new epoch that
+  // still names itself) before its first post-resume heartbeat lands:
+  // the epoch drop must not erase the lapse.
+  LeaseState l(kTtl, kSkew);
+  l.on_epoch_change(3, 0);
+  l.on_heartbeat_confirmed(0);
+  ASSERT_TRUE(l.valid_at_epoch(3, 500));
+  const std::int64_t resume = 5000;
+  l.on_epoch_change(4, resume);
+  l.on_heartbeat_confirmed(resume + 10);
+  EXPECT_FALSE(l.valid_at_epoch(4, resume + 20));
+  EXPECT_EQ(l.not_before_us(), resume + 10 + kTtl + kSkew);
+}
+
 TEST(ReadWaitersTest, WakesInAscendingFenceOrder) {
   ReadWaiters w;
   std::vector<int> order;
