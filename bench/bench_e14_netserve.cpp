@@ -69,7 +69,8 @@ int connect_loopback(std::uint16_t port) {
 
 void send_query(LoadConn& c, svc::GroupId gid, std::vector<std::uint8_t>& buf) {
   buf.clear();
-  net::encode_request(buf, net::MsgType::kLeader, /*req_id=*/1, gid);
+  net::encode_fixed(buf, net::MsgType::kLeader, net::Status::kOk, /*req_id=*/1,
+                    net::GidBody{gid});
   c.gid = gid;
   c.sent_ns = wall_ns();
   const ssize_t n = ::send(c.fd, buf.data(), buf.size(), MSG_NOSIGNAL);

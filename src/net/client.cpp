@@ -302,7 +302,11 @@ std::uint64_t Client::begin_request() {
 Response Client::call(MsgType type, std::optional<WireGroupId> gid,
                       int response_timeout_ms) {
   const std::uint64_t id = begin_request();
-  encode_request(out_, type, id, gid);
+  if (gid) {
+    encode_fixed(out_, type, Status::kOk, id, GidBody{*gid});
+  } else {
+    encode_header_only(out_, type, Status::kOk, id);
+  }
   return call_encoded(type, id, response_timeout_ms);
 }
 

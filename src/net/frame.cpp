@@ -182,16 +182,8 @@ void end_frame(std::vector<std::uint8_t>& out, std::size_t len_at) {
 using detail::begin_frame;
 using detail::end_frame;
 
-void encode_request(std::vector<std::uint8_t>& out, MsgType type,
-                    std::uint64_t req_id, std::optional<WireGroupId> gid) {
-  const std::size_t at =
-      begin_frame(out, FrameHeader{type, Status::kOk, req_id});
-  if (gid) put_le<std::uint64_t>(out, *gid);
-  end_frame(out, at);
-}
-
-void encode_simple_response(std::vector<std::uint8_t>& out, MsgType type,
-                            Status status, std::uint64_t req_id) {
+void encode_header_only(std::vector<std::uint8_t>& out, MsgType type,
+                        Status status, std::uint64_t req_id) {
   end_frame(out, begin_frame(out, FrameHeader{type, status, req_id}));
 }
 

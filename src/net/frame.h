@@ -93,7 +93,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -479,14 +478,10 @@ void encode_fixed(std::vector<std::uint8_t>& out, MsgType type, Status status,
   detail::end_frame(out, at);
 }
 
-/// A request whose body is a gid (LEADER, WATCH, UNWATCH, COMMIT_WATCH,
-/// COMMIT_UNWATCH) or empty (PING, HEALTH, METRICS_WATCH: no gid).
-void encode_request(std::vector<std::uint8_t>& out, MsgType type,
-                    std::uint64_t req_id, std::optional<WireGroupId> gid);
-
-/// A header-only answer: PING, or kUnsupported for an unknown type.
-void encode_simple_response(std::vector<std::uint8_t>& out, MsgType type,
-                            Status status, std::uint64_t req_id);
+/// A header-only frame: the PING, HEALTH and METRICS_WATCH requests, the
+/// PING answer, or kUnsupported for an unknown type.
+void encode_header_only(std::vector<std::uint8_t>& out, MsgType type,
+                        Status status, std::uint64_t req_id);
 
 /// `entries` holds at most kMaxLogEntries (empty for error answers).
 void encode_readlog_response(std::vector<std::uint8_t>& out, Status status,

@@ -564,7 +564,7 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
       return true;
     }
     case MsgType::kPing:
-      encode_simple_response(c.out, MsgType::kPing, Status::kOk, id);
+      encode_header_only(c.out, MsgType::kPing, Status::kOk, id);
       return true;
     case MsgType::kAppend: {
       const AppendReqBody& a = std::get<AppendReqBody>(req.body);
@@ -781,8 +781,7 @@ bool LeaderServer::handle_frame(Loop& l, Connection& c, const Request& req) {
       close_connection(l, c);
       return false;
     default:
-      encode_simple_response(c.out, req.header.type, Status::kUnsupported,
-                             id);
+      encode_header_only(c.out, req.header.type, Status::kUnsupported, id);
       return true;
   }
 }

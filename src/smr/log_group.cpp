@@ -568,7 +568,8 @@ LogGroup::ReadMode LogGroup::read_point(std::uint64_t key,
     // The fence cell is shared by every node that ever led, and a deposed
     // leader keeps its own last fence until the new leader's push lands
     // over it: only the fence of the leader this node follows bounds a
-    // read (0 = no leader has published one yet).
+    // read (0 = no leader has published one yet). A node following no
+    // one (kNoProcess) refuses every read once any fence exists.
     const std::uint64_t cell = host_.g_->inst.memory->peek(lease_fence_cell_);
     if (cell != 0 && cell >> 48 != std::uint64_t{view.leader} + 1) {
       reads_refused_ctr_->add(1);

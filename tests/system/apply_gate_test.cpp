@@ -4,7 +4,8 @@
 //   * ApplyGate: the leader (replica 0) may start slot s only while every
 //     live follower's APPLIED cursor is above s - ring_slack.
 //   * RemoteLeader: once a remote replica leads, appends this node
-//     accepted but never sealed are answered kNotLeader.
+//     accepted but never sealed are answered kNotLeader, and follower
+//     reads bound themselves only by the fence that leader published.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <thread>
 
 #include "registers/mirror.h"
 #include "smr/smr_service.h"
@@ -24,9 +26,11 @@ constexpr std::uint32_t kRingSlack = 4;
 
 class RemoteReplicaRig {
  public:
-  RemoteReplicaRig() : svc_(pool_config()), smr_(svc_) {
+  explicit RemoteReplicaRig(std::int64_t lease_ttl_us = 0)
+      : svc_(pool_config()), smr_(svc_) {
     for (auto& l : live_) l.store(true);
     SmrSpec spec;
+    spec.lease_ttl_us = lease_ttl_us;
     spec.n = 3;
     spec.capacity = 256;
     spec.window = 2;
@@ -74,6 +78,23 @@ class RemoteReplicaRig {
   }
 
   void set_live(ProcessId p, bool live) { live_[p].store(live); }
+
+  /// A point read of `key` at this node, as a net IO thread issues it.
+  LogGroup::ReadMode read(std::uint64_t key, std::uint64_t min_index,
+                          svc::LeaderView& view) {
+    LogGroup::ReadAnswer answer;
+    LogGroup::ReadMode mode{};
+    EXPECT_TRUE(smr_.read_point(kGid, key, min_index, view, answer, mode,
+                                [](bool, const LogGroup::ReadAnswer&) {}));
+    return mode;
+  }
+
+  std::uint64_t peek(const char* name, std::uint32_t i) {
+    MirroredMemory& mem = *mem_.load();
+    GroupId g = 0;
+    EXPECT_TRUE(mem.layout().find_group(name, g));
+    return mem.peek(mem.layout().cell(g, i));
+  }
 
   /// Stores `v` into remote replica `row`'s cell `col` of group `name`,
   /// as that replica's push would.
@@ -166,6 +187,63 @@ TEST(RemoteLeader, QueuedAppendsAnswerNotLeaderOnceARemoteReplicaLeads) {
   EXPECT_EQ(queued_a.get(), AppendOutcome::kNotLeader);
   EXPECT_EQ(queued_b.get(), AppendOutcome::kNotLeader);
   EXPECT_EQ(rig.svc().leader(kGid).leader, 1u);
+  EXPECT_FALSE(rig.svc().failed()) << rig.svc().failure_message();
+}
+
+TEST(RemoteLeader, FollowerReadsOnlyAgainstTheFollowedLeadersFence) {
+  RemoteReplicaRig rig(/*lease_ttl_us=*/400000);
+  ASSERT_EQ(rig.svc().await_leader(kGid, 30000000), 0u);
+  ASSERT_TRUE(committed_within(rig.append(1), 5000));
+  // The LEASE fence cell: publishing leader + 1 above bit 48, its
+  // applied length below.
+  constexpr std::uint32_t kFence = 1;
+  const auto fence = [](ProcessId leader, std::uint64_t applied) {
+    return (std::uint64_t{leader} + 1) << 48 | applied;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (rig.peek("LEASE", kFence) != fence(0, 1)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "leader 0 never published its fence";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Replica 1 takes over and keeps heartbeating; this node follows it.
+  rig.push("SUSPICIONS", 1, 0, 1000);
+  rig.push("SUSPICIONS", 2, 0, 1000);
+  std::atomic<bool> stop{false};
+  std::thread beats([&rig, &stop] {
+    for (std::uint64_t beat = 1; !stop.load(); ++beat) {
+      rig.push("PROGRESS", 1, beat);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  while (rig.svc().leader(kGid).leader != 1) {
+    if (std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto read = [&rig](std::uint64_t fence_word) {
+    rig.push("LEASE", kFence, fence_word);
+    svc::LeaderView view;
+    const LogGroup::ReadMode mode = rig.read(/*key=*/101, 0, view);
+    EXPECT_EQ(view.leader, 1u);
+    return mode;
+  };
+  const bool follows_1 = rig.svc().leader(kGid).leader == 1;
+  if (follows_1) {
+    // This node's own fence from when it led, not yet overwritten.
+    EXPECT_EQ(read(fence(0, 1)), LogGroup::ReadMode::kRefused);
+    // A fence from a replica this node does not follow.
+    EXPECT_EQ(read(fence(2, 1)), LogGroup::ReadMode::kRefused);
+    // The followed leader's fence: at the local apply, or ahead of it.
+    EXPECT_EQ(read(fence(1, 1)), LogGroup::ReadMode::kIndex);
+    EXPECT_EQ(read(fence(1, 5)), LogGroup::ReadMode::kDefer);
+    // No leader has published a fence yet.
+    EXPECT_EQ(read(0), LogGroup::ReadMode::kIndex);
+  }
+  stop.store(true);
+  beats.join();
+  EXPECT_TRUE(follows_1) << "replica 1 never led";
   EXPECT_FALSE(rig.svc().failed()) << rig.svc().failure_message();
 }
 

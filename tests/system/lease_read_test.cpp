@@ -3,11 +3,12 @@
 // dead" box), the survivors elect a new leader and commit past it, then
 // SIGCONT lets the ex-leader run again. A READ that was already sitting
 // in the frozen leader's socket buffer must never take the lease path:
-// if it is served while the cached view still says "I lead" at the OLD
-// epoch it MUST come back kNotLeader (the lease is time-expired and a
-// lapsed holder may not revive it), and if the node has already learned
-// the new view it answers as a follower against the new leader's fence. After the mirror rejoin, reads with the new session floor
-// must answer with the post-partition state, never the stale one.
+// served while the cached view still says "I lead" at the OLD epoch it
+// MUST come back kNotLeader (the lease is time-expired and a lapsed
+// holder may not revive it). Only a node that has already learned the
+// new view may answer it, as a follower past the new leader's fence.
+// After the mirror rejoin, reads with the new session floor must answer
+// with the post-partition state, never the stale one.
 //
 // fork() happens before any thread exists (gtest runs each TEST in its
 // own process), so the children may build the full threaded runtime.
@@ -189,9 +190,11 @@ class Cluster {
   std::uint32_t frozen_ = ~0u;
 };
 
+/// Appends through whichever node leads; `via` (if given) receives the
+/// leader that committed it.
 void append_until_committed(Cluster& cluster, std::uint64_t client,
                             std::uint64_t seq, std::uint64_t cmd,
-                            int deadline_s) {
+                            int deadline_s, ProcessId* via = nullptr) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(deadline_s);
   while (std::chrono::steady_clock::now() < deadline) {
@@ -202,7 +205,10 @@ void append_until_committed(Cluster& cluster, std::uint64_t client,
       net::Client c;
       cluster.connect(c, node, 10);
       const auto r = c.append_retry(kGid, client, seq, cmd, 15000);
-      if (r.ok()) return;
+      if (r.ok()) {
+        if (via != nullptr) *via = leader;
+        return;
+      }
       std::fprintf(stderr, "append %llu via node %u: status %d\n",
                    static_cast<unsigned long long>(cmd), node,
                    static_cast<int>(r.status));
@@ -251,11 +257,13 @@ TEST(LeaseRead, PartitionedExLeaderRefusesItsStaleLease) {
 
   // Phase 2: freeze the leader. The probe READ is sent while it is
   // frozen, so the request is already in its socket buffer when it
-  // resumes — it will be the first thing the IO thread serves, before
-  // any mirror traffic can teach the node about the new view.
+  // resumes. Its floor of 2 (the length once key 700 commits below) does
+  // not bind the leader paths, and makes any follower answer wait for
+  // the post-partition state.
   cluster.freeze(frozen_node);
   const auto t_freeze = std::chrono::steady_clock::now();
-  const std::uint64_t probe_id = reader.read_async(kGid, /*key=*/600);
+  const std::uint64_t probe_id =
+      reader.read_async(kGid, /*key=*/600, /*min_index=*/2);
 
   // Phase 3: the survivors elect a new leader and commit key 700 at
   // position 1 — state the frozen box has never seen.
@@ -272,7 +280,8 @@ TEST(LeaseRead, PartitionedExLeaderRefusesItsStaleLease) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
   }
-  append_until_committed(cluster, /*client=*/2, /*seq=*/1, /*cmd=*/700, 180);
+  append_until_committed(cluster, /*client=*/2, /*seq=*/1, /*cmd=*/700, 180,
+                         &new_leader);
 
   // Make the premise of lease safety true by construction: hold the
   // freeze until the old lease is long past its TTL on the wall clock
@@ -286,19 +295,26 @@ TEST(LeaseRead, PartitionedExLeaderRefusesItsStaleLease) {
   // Phase 4: resume. A buffered probe served under the ex-leader's stale
   // "I lead" view must be REFUSED: the lease is time-expired (no quorum
   // ack landed during the freeze) and a lapsed holder may not revive it.
-  // The node's mirror thread can also apply the survivors' queued pushes
-  // before its IO thread reaches the probe; the node then answers as a
-  // follower, read-indexed against the NEW leader's fence (the fence
-  // cell is stamped with its leader), which is linearizable for a read
-  // sent during the partition. A lease answer here is the stale read.
+  // Its IO thread and its mirror thread resume together, so the queued
+  // pushes of the survivors may teach the node the new view first. Only
+  // then may it answer, as a follower: under the new leader, at a newer
+  // epoch, and past position 1 that the frozen box never saw.
   cluster.thaw(frozen_node);
   const auto probe = reader.next_read_result(/*timeout_ms=*/120000);
   ASSERT_TRUE(probe.has_value()) << "probe read lost";
   EXPECT_EQ(probe->req_id, probe_id);
-  EXPECT_TRUE(probe->result.status == net::Status::kNotLeader ||
-              probe->result.status == net::Status::kIndexRead)
-      << "ex-leader must refuse its stale lease, got status "
-      << static_cast<int>(probe->result.status);
+  const auto& pr = probe->result;
+  if (pr.status == net::Status::kIndexRead) {
+    EXPECT_EQ(pr.view.leader, new_leader)
+        << "follower answer off the new leader's fence";
+    EXPECT_GT(pr.view.epoch, old_epoch);
+    EXPECT_GE(pr.commit_index, 2u) << "follower answer from stale state";
+    EXPECT_EQ(pr.index, 1u);
+  } else {
+    EXPECT_EQ(pr.status, net::Status::kNotLeader)
+        << "ex-leader must refuse its stale lease, got status "
+        << static_cast<int>(pr.status);
+  }
 
   // Phase 5: after the rejoin, reads at the ex-leader with the new
   // session floor (position 1 committed => floor 2) must answer with the

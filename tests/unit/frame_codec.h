@@ -117,12 +117,14 @@ inline std::vector<Shape> all_shapes() {
   std::vector<Shape> v;
   const auto gid_request = [&v](const char* name, MsgType t) {
     v.push_back({name, true, true, alt_of<GidBody, Q>(),
-                 [t](Bytes& b, Status) { encode_request(b, t, 7, 42); }});
+                 [t](Bytes& b, Status) {
+                   encode_fixed(b, t, Status::kOk, 7, GidBody{42});
+                 }});
   };
   const auto empty_request = [&v](const char* name, MsgType t) {
     v.push_back({name, true, true, alt_of<std::monostate, Q>(),
                  [t](Bytes& b, Status) {
-                   encode_request(b, t, 7, std::nullopt);
+                   encode_header_only(b, t, Status::kOk, 7);
                  }});
   };
   gid_request("LEADER req", MsgType::kLeader);
@@ -196,7 +198,7 @@ inline std::vector<Shape> all_shapes() {
   gid_response("COMMIT_UNWATCH resp", MsgType::kCommitUnwatch);
   v.push_back({"PING resp", false, false, alt_of<std::monostate, R>(),
                [](Bytes& b, Status s) {
-                 encode_simple_response(b, MsgType::kPing, s, 7);
+                 encode_header_only(b, MsgType::kPing, s, 7);
                }});
   v.push_back({"APPEND resp", false, false, alt_of<AppendRespBody, R>(),
                [](Bytes& b, Status s) {

@@ -94,7 +94,7 @@ TEST(Frame, MisroutedRolesAreRefused) {
 
 TEST(Frame, VersionOneHeaderIsBadMagic) {
   Bytes buf;
-  encode_request(buf, MsgType::kLeader, 1, WireGroupId{1});
+  encode_fixed(buf, MsgType::kLeader, Status::kOk, 1, GidBody{1});
   buf[5] = 1;  // a v1 peer
   Request req;
   EXPECT_EQ(test::decode_as_request(buf, req), DecodeResult::kBadMagic);
@@ -104,7 +104,7 @@ TEST(Frame, VersionOneHeaderIsBadMagic) {
 
 TEST(Frame, LeaderRequestRoundTrip) {
   Bytes buf;
-  encode_request(buf, MsgType::kLeader, /*req_id=*/42, WireGroupId{7});
+  encode_fixed(buf, MsgType::kLeader, Status::kOk, /*req_id=*/42, GidBody{7});
   const auto frames = requests(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kLeader);
@@ -137,7 +137,7 @@ TEST(Frame, NoLeaderSentinelSurvivesTheWire) {
 
 TEST(Frame, PingRoundTrip) {
   Bytes buf;
-  encode_request(buf, MsgType::kPing, 1, std::nullopt);
+  encode_header_only(buf, MsgType::kPing, Status::kOk, 1);
   const auto frames = requests(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kPing);
@@ -149,7 +149,7 @@ TEST(Frame, ByteAtATimeReassembly) {
   // fed one byte at a time, across frame boundaries.
   Bytes buf;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    encode_request(buf, MsgType::kLeader, i, WireGroupId{i * 10});
+    encode_fixed(buf, MsgType::kLeader, Status::kOk, i, GidBody{i * 10});
   }
   const auto frames = requests(buf, 1);
   ASSERT_EQ(frames.size(), 5u);
@@ -163,7 +163,7 @@ TEST(Frame, DecoderCompactionKeepsLongStreamsBounded) {
   // A long-lived connection must not grow the buffer without bound: after
   // many consumed frames the decoder compacts and keeps decoding right.
   Bytes one;
-  encode_request(one, MsgType::kLeader, 7, WireGroupId{7});
+  encode_fixed(one, MsgType::kLeader, Status::kOk, 7, GidBody{7});
   FrameDecoder dec;
   const std::uint8_t* payload = nullptr;
   std::size_t len = 0;
@@ -180,7 +180,7 @@ TEST(Frame, DecoderCompactionKeepsLongStreamsBounded) {
 
 TEST(Frame, RejectsBadMagicAndVersion) {
   Bytes buf;
-  encode_request(buf, MsgType::kPing, 1, std::nullopt);
+  encode_header_only(buf, MsgType::kPing, Status::kOk, 1);
   Request r;
   buf[4] ^= 0xff;  // magic
   EXPECT_EQ(test::decode_as_request(buf, r), DecodeResult::kBadMagic);
@@ -197,7 +197,7 @@ TEST(Frame, RejectsTruncatedHeaderAndBody) {
 
   // LEADER with a 4-byte body (gid needs 8).
   Bytes buf;
-  encode_request(buf, MsgType::kLeader, 1, WireGroupId{1});
+  encode_fixed(buf, MsgType::kLeader, Status::kOk, 1, GidBody{1});
   EXPECT_EQ(test::decode_as_request(buf, r, /*clip=*/4),
             DecodeResult::kBadBody);
 }
@@ -214,14 +214,14 @@ TEST(Frame, UnknownTypeDecodesHeaderOnly) {
   // Including 5, the retired STATS: a server answers kUnsupported.
   for (const std::uint8_t type : {0, 5, 200}) {
     Bytes buf;
-    encode_request(buf, static_cast<MsgType>(type), 77, WireGroupId{1});
+    encode_fixed(buf, static_cast<MsgType>(type), Status::kOk, 77, GidBody{1});
     Request r;
     EXPECT_EQ(test::decode_as_request(buf, r), DecodeResult::kOk);
     EXPECT_EQ(r.header.req_id, 77u);
     EXPECT_TRUE(std::holds_alternative<std::monostate>(r.body));
     Bytes answer;
-    encode_simple_response(answer, static_cast<MsgType>(type),
-                           Status::kUnsupported, 77);
+    encode_header_only(answer, static_cast<MsgType>(type),
+                       Status::kUnsupported, 77);
     Response a;
     EXPECT_EQ(test::decode_as_response(answer, a), DecodeResult::kOk);
     EXPECT_EQ(a.header.status, Status::kUnsupported);
@@ -327,7 +327,7 @@ TEST(Frame, ReadLogErrorCarriesTheFullEmptyPage) {
 
 TEST(Frame, CommitWatchAndEventRoundTrip) {
   Bytes req_buf;
-  encode_request(req_buf, MsgType::kCommitWatch, 3, WireGroupId{5});
+  encode_fixed(req_buf, MsgType::kCommitWatch, Status::kOk, 3, GidBody{5});
   ASSERT_EQ(std::get<GidBody>(requests(req_buf)[0].body).gid, 5u);
 
   Bytes buf;

@@ -20,7 +20,7 @@ std::vector<Response> decode_all(const std::vector<std::uint8_t>& bytes) {
 
 TEST(HealthFrame, EmptyBodyIsTheRequestRole) {
   std::vector<std::uint8_t> buf;
-  encode_request(buf, MsgType::kHealth, /*req_id=*/3, std::nullopt);
+  encode_header_only(buf, MsgType::kHealth, Status::kOk, /*req_id=*/3);
   const auto frames = test::requests(buf);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kHealth);
@@ -95,7 +95,7 @@ TEST(HealthFrame, FiringCountBombRejected) {
 
 TEST(MetricsWatchFrame, RequestAndResponseRoundTrip) {
   std::vector<std::uint8_t> req;
-  encode_request(req, MsgType::kMetricsWatch, /*req_id=*/5, std::nullopt);
+  encode_header_only(req, MsgType::kMetricsWatch, Status::kOk, /*req_id=*/5);
   const auto reqf = test::requests(req);
   ASSERT_EQ(reqf.size(), 1u);
   EXPECT_EQ(reqf[0].header.type, MsgType::kMetricsWatch);
